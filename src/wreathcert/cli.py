@@ -23,7 +23,7 @@ from .certificate import (
     certificate_problems,
     certificate_to_json,
 )
-from .congruence import ABORTED, norm_congruence_check, wieferich_check, wieferich_scan
+from .congruence import ABORTED, norm_congruence_check, require_scan_limit, wieferich_check, wieferich_scan
 from .cyclotomic import require_odd_prime, require_ring_prime
 from .dynamics import (
     DEFAULT_MAX_POLY_COEFFS,
@@ -71,10 +71,7 @@ def _positive(text: str) -> int:
 
 
 def _scan_limit(text: str) -> int:
-    def check(v):
-        if v < 3:
-            raise ValueError("must be at least 3")
-    return _int_arg(text, check, "bad scan limit")
+    return _int_arg(text, require_scan_limit, "bad scan limit")
 
 
 def _emit_json(obj) -> None:
@@ -182,18 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wreathcert",
         description="verify orbit congruences and build maximality certificates over Z[zeta_p]",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--threads",
-        type=_positive,
-        default=1,
-        help="worker hint; results are identical for any value (current implementation is sequential)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_norm = sub.add_parser(
         "norm-congruence",
-        parents=[common],
         help="check norm(phi^n(1)) = 2^p - 1 mod p^2 along the orbit",
     )
     p_norm.add_argument("--p", type=_ring_prime, required=True)
@@ -201,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--json", action="store_true", help="emit the report as JSON")
     p_norm.set_defaults(func=cmd_norm_congruence)
 
-    p_wief = sub.add_parser("wieferich", parents=[common], help="check or scan for Wieferich primes")
+    p_wief = sub.add_parser("wieferich", help="check or scan for Wieferich primes")
     group = p_wief.add_mutually_exclusive_group(required=True)
     group.add_argument("--check", type=_odd_prime, metavar="P")
     group.add_argument("--scan", type=_scan_limit, metavar="LIMIT")
@@ -209,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser(
         "certificate",
-        parents=[common],
         help="build a maximality certificate and write it as JSON",
     )
     p_cert.add_argument("--p", type=_odd_prime, required=True)
@@ -220,13 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--out", required=True, metavar="FILE")
     p_cert.set_defaults(func=cmd_certificate)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="re-check a serialized certificate")
+    p_verify = sub.add_parser("verify", help="re-check a serialized certificate")
     p_verify.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p_verify.set_defaults(func=cmd_verify)
 
     p_struct = sub.add_parser(
         "structure",
-        parents=[common],
         help="run the Eisenstein, fixed-point and orbit-congruence checks",
     )
     p_struct.add_argument("--p", type=_ring_prime, required=True)

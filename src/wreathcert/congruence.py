@@ -26,6 +26,10 @@ PASS = "PASS"
 FAIL = "FAIL"
 ABORTED = "ABORTED"
 
+# wieferich_scan holds a (limit + 1)-byte sieve and a list of every prime up
+# to limit; the cap bounds them at 100 MB and 5.8 million primes
+MAX_SCAN_LIMIT = 10**8
+
 
 def expected_residue(p: int) -> int:
     """(2^p - 1) mod p^2, the constant every orbit norm must hit."""
@@ -149,10 +153,16 @@ def _odd_primes_up_to(limit: int) -> list[int]:
     return [q for q in range(3, limit + 1) if sieve[q]]
 
 
+def require_scan_limit(limit: int) -> int:
+    """Validate a Wieferich scan limit: 3 <= limit <= MAX_SCAN_LIMIT; return it."""
+    if not 3 <= limit <= MAX_SCAN_LIMIT:
+        raise ValueError(f"need 3 <= limit <= {MAX_SCAN_LIMIT}, got {limit}")
+    return limit
+
+
 def wieferich_scan(limit: int) -> list[int]:
     """All Wieferich primes up to limit, ascending."""
-    if limit < 3:
-        raise ValueError("need limit >= 3")
+    require_scan_limit(limit)
     return [q for q in _odd_primes_up_to(limit) if pow(2, q - 1, q * q) == 1]
 
 

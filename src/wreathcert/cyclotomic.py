@@ -5,15 +5,13 @@ tuple of p-1 arbitrary-precision integers, always fully reduced: a
 zeta^(p-1) term is eliminated through zeta^(p-1) = -(1 + zeta + ... +
 zeta^(p-2)), so equality is a plain vector comparison.
 
-The absolute norm is available through two independent algorithms:
-
-* CycInt.norm() computes the resultant of the p-th cyclotomic
-  polynomial with the element's representative polynomial, by a
-  multi-modular CRT scheme over word-size primes.
-* CycInt.norm_via_conjugates() multiplies all Galois conjugates inside
-  the ring and reads off the rational constant.
-
-Both are exact; tests cross-check one against the other.
+The absolute norm is the product of all Galois conjugates, taken
+along the cyclic group Gal(Q(zeta_p)/Q).  With sigma: zeta -> zeta^g for
+a primitive root g mod p, the partial products y_k = prod_{i<k}
+sigma^i(x) satisfy y_(a+b) = y_a * sigma^a(y_b), so walking the bits of
+p - 1 reaches N(x) = y_(p-1) in O(log p) ring multiplies.  The
+multi-modular resultant in tests/resultant_oracle.py is the independent
+algorithm the tests compare against.
 
 The prime ideal generated by (1 - zeta) is the unique prime above p
 (p factors as its (p-1)-st power).  Divisibility by (1 - zeta) is
@@ -75,13 +73,8 @@ class CycInt:
             if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError(f"coefficients must be ints, got {type(c).__name__}")
         raw.extend([0] * (p - len(raw)))
-        top = raw[p - 1]
-        if top:
-            stored = tuple(c - top for c in raw[: p - 1])
-        else:
-            stored = tuple(raw[: p - 1])
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", stored)
+        object.__setattr__(self, "coeffs", _fold(raw, p))
 
     def __setattr__(self, name, value):
         raise AttributeError("CycInt is immutable")
@@ -175,19 +168,7 @@ class CycInt:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        p = self.p
-        n = p - 1
-        a, b = self.coeffs, other.coeffs
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        # exponents >= p wrap around through zeta^p = 1
-        for e in range(p, 2 * n - 1):
-            prod[e - p] += prod[e]
-        return CycInt(p, prod[:p])
+        return CycInt(self.p, _mul(self.coeffs, other.coeffs, self.p))
 
     __rmul__ = __mul__
 
@@ -198,48 +179,34 @@ class CycInt:
         k %= self.p
         if k == 0:
             raise ValueError("automorphism index must be nonzero mod p")
-        raw = [0] * self.p
-        for i, c in enumerate(self.coeffs):
-            if c:
-                raw[i * k % self.p] += c
-        return CycInt(self.p, raw)
+        return CycInt(self.p, _conj(self.coeffs, k, self.p))
 
-    # -- norms ---------------------------------------------------------
+    # -- norm ----------------------------------------------------------
 
     def norm(self) -> int:
-        """Absolute norm, as the resultant with the p-th cyclotomic polynomial.
+        """Absolute norm: the product of all p - 1 Galois conjugates.
 
-        Computed by CRT over word-size primes; the modulus is grown past
-        twice an a-priori bound on |N|, so the lift is exact.
+        sigma^i maps zeta to zeta^(g^i) for a primitive root g mod p.  The
+        partial products y_k = prod_{i<k} sigma^i(x) obey y_(a+b) = y_a *
+        sigma^a(y_b); doubling (y_2k = y_k * sigma^k(y_k)) and stepping
+        (y_(k+1) = y_k * sigma^k(x)) along the bits of p - 1 reach
+        N(x) = y_(p-1) in O(log p) multiplies.  The product must reduce
+        to a rational integer; anything else indicates an arithmetic bug.
+        The tests check it against the independent resultant in
+        tests/resultant_oracle.py.
         """
-        if self.is_zero():
-            return 0
-        p = self.p
-        size = sum(abs(c) for c in self.coeffs)
-        bound = size ** (p - 1)  # |A(zeta^k)| <= sum |c_i| for every conjugate
-        residues: list[int] = []
-        moduli: list[int] = []
-        modulus = 1
-        for q in _crt_primes():
-            residues.append(_resultant_with_cyclotomic(self.coeffs, p, q))
-            moduli.append(q)
-            modulus *= q
-            if modulus > 2 * bound:
-                break
-        return _crt_lift(residues, moduli, modulus)
-
-    def norm_via_conjugates(self) -> int:
-        """Absolute norm as the in-ring product of all Galois conjugates.
-
-        Independent of norm(); the reduced product must be a rational
-        integer, anything else indicates an arithmetic bug.
-        """
-        acc = CycInt.one(self.p)
-        for k in range(1, self.p):
-            acc = acc * self.conjugate(k)
-        if any(acc.coeffs[1:]):
-            raise AssertionError(f"conjugate product is not rational: {acc!r}")
-        return acc.coeffs[0]
+        p, x = self.p, self.coeffs
+        g = _primitive_root(p)
+        y, k = x, 1
+        for bit in bin(p - 1)[3:]:
+            y = _mul(y, _conj(y, pow(g, k, p), p), p)
+            k *= 2
+            if bit == "1":
+                y = _mul(y, _conj(x, pow(g, k, p), p), p)
+                k += 1
+        if any(y[1:]):
+            raise AssertionError(f"Galois orbit product is not rational: {CycInt(p, y)!r}")
+        return y[0]
 
     # -- the prime above p ---------------------------------------------
 
@@ -302,75 +269,42 @@ def _pi_complement(p: int) -> CycInt:
     return acc
 
 
-# -- multi-modular resultant machinery --------------------------------
-
-_CRT_PRIME_CACHE: list[int] = []
-_CRT_PRIME_FLOOR = (1 << 61) - 1
+# -- kernels on reduced coefficient tuples ----------------------------
 
 
-def _crt_primes():
-    """Yield a deterministic stream of word-size primes, largest first."""
-    i = 0
-    while True:
-        while i >= len(_CRT_PRIME_CACHE):
-            _extend_crt_primes()
-        yield _CRT_PRIME_CACHE[i]
-        i += 1
+def _fold(raw, p: int) -> tuple:
+    """Reduce coefficients of zeta^0..zeta^(p-1) to the p-1 stored ones."""
+    top = raw[p - 1]
+    if top:
+        return tuple(c - top for c in raw[: p - 1])
+    return tuple(raw[: p - 1])
 
 
-def _extend_crt_primes() -> None:
-    q = (_CRT_PRIME_CACHE[-1] if _CRT_PRIME_CACHE else _CRT_PRIME_FLOOR + 2) - 2
-    while not is_prime(q):
-        q -= 2
-    _CRT_PRIME_CACHE.append(q)
+def _mul(a, b, p: int) -> tuple:
+    """Product of two reduced coefficient tuples."""
+    prod = [0] * (2 * p - 3)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] += ai * bj
+    # exponents >= p wrap around through zeta^p = 1
+    for e in range(p, 2 * p - 3):
+        prod[e - p] += prod[e]
+    return _fold(prod, p)
 
 
-def _resultant_with_cyclotomic(coeffs, p: int, q: int) -> int:
-    """Res(Phi_p, A) mod q, A the representative polynomial of coeffs.
-
-    Phi_p stays monic of full degree mod any q, so the reduction of the
-    integer resultant equals the resultant of the reductions; the value
-    is the product of A over the roots of Phi_p, computed by a monic
-    Euclidean remainder cascade.
-    """
-    f = [1] * p  # Phi_p = 1 + x + ... + x^(p-1)
-    g = [c % q for c in coeffs]
-    res = 1
-    while True:
-        while g and g[-1] == 0:
-            g.pop()
-        n = len(f) - 1
-        if not g:
-            return 0 if n >= 1 else res
-        if n == 0:
-            return res
-        m = len(g) - 1
-        if m == 0:
-            return res * pow(g[0], n, q) % q
-        b = g[-1]
-        res = res * pow(b, n, q) % q
-        if (n & 1) and (m & 1):
-            res = q - res if res else 0
-        inv = pow(b, -1, q)
-        gm = [x * inv % q for x in g]
-        r = list(f)
-        for i in range(n - m, -1, -1):
-            c = r[i + m]
-            if c:
-                r[i + m] = 0
-                for j in range(m):
-                    r[i + j] = (r[i + j] - c * gm[j]) % q
-        del r[m:]
-        f, g = gm, r
+def _conj(a, k: int, p: int) -> tuple:
+    """Image of a reduced coefficient tuple under zeta -> zeta^k, k a unit mod p."""
+    raw = [0] * p
+    for i, c in enumerate(a):
+        if c:
+            raw[i * k % p] += c
+    return _fold(raw, p)
 
 
-def _crt_lift(residues, moduli, modulus: int) -> int:
-    """Symmetric CRT lift of residues to (-modulus/2, modulus/2)."""
-    x = 0
-    for r, q in zip(residues, moduli):
-        mq = modulus // q
-        x += r * mq * pow(mq, -1, q)
-    x %= modulus
-    if 2 * x > modulus:
-        x -= modulus
-    return x
+def _primitive_root(p: int) -> int:
+    """Smallest generator of the cyclic group (Z/pZ)^*."""
+    n = p - 1
+    divisors = [d for d in range(2, n + 1) if n % d == 0]
+    return next(g for g in range(2, p) if all(pow(g, n // d, p) != 1 for d in divisors))

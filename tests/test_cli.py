@@ -13,6 +13,7 @@ from wreathcert.cli import (
     EXIT_USAGE,
     main,
 )
+from wreathcert.congruence import MAX_SCAN_LIMIT
 
 
 def run_cli(argv, capsys):
@@ -88,6 +89,10 @@ def test_wieferich_scan(capsys):
     code, out, _ = run_cli(["wieferich", "--scan", "1000"], capsys)
     assert code == EXIT_OK
     assert out.strip() == ""
+    # argparse rejects the limit before any sieve is allocated
+    code, _, err = run_cli(["wieferich", "--scan", str(MAX_SCAN_LIMIT + 1)], capsys)
+    assert code == EXIT_USAGE
+    assert str(MAX_SCAN_LIMIT) in err
 
 
 def test_wieferich_flags_exclusive(capsys):
@@ -179,13 +184,9 @@ def test_structure_cap_suggests_feasible_n(capsys):
     assert "8" in err
 
 
-def test_threads_flag_accepted(capsys):
+def test_threads_flag_removed(capsys):
     code, _, _ = run_cli(
         ["norm-congruence", "--threads", "2", "--p", "3", "--max-n", "1"], capsys
-    )
-    assert code == EXIT_OK
-    code, _, _ = run_cli(
-        ["norm-congruence", "--threads", "0", "--p", "3", "--max-n", "1"], capsys
     )
     assert code == EXIT_USAGE
 

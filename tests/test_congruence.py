@@ -17,7 +17,7 @@ from wreathcert import (
     wieferich_check,
     wieferich_scan,
 )
-from wreathcert.congruence import ABORTED, PASS
+from wreathcert.congruence import ABORTED, MAX_SCAN_LIMIT, PASS
 
 
 def test_expected_residues():
@@ -118,6 +118,8 @@ def test_wieferich_scan_small():
     assert wieferich_scan(4000) == [1093, 3511]
     with pytest.raises(ValueError):
         wieferich_scan(2)
+    with pytest.raises(ValueError):
+        wieferich_scan(MAX_SCAN_LIMIT + 1)
 
 
 # -- p-th powers mod p^2 ---------------------------------------------------

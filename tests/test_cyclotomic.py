@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+import resultant_oracle
 import zeta3_oracle as oracle
+from wreathcert import cyclotomic
 from wreathcert import (
     MAX_RING_PRIME,
     CycInt,
@@ -189,11 +191,25 @@ def test_norm_matches_p3_formula():
 
 
 def test_norm_cross_algorithms():
+    # p - 1 = 2, 4, 6, 10, 12, 30, 60, 100: every bit pattern the orbit chain walks
     rng = random.Random(37)
-    for p in (3, 5, 7, 11):
-        for _ in range(100):
+    for p, cases in ((3, 100), (5, 100), (7, 100), (11, 100), (13, 50), (31, 10), (61, 4), (101, 2)):
+        for _ in range(cases):
             a = rand_elem(rng, p)
-            assert a.norm() == a.norm_via_conjugates()
+            assert a.norm() == resultant_oracle.norm(a.coeffs, p)
+
+
+def test_norm_deep_orbit_point_p3():
+    x = oracle.orbit_of_one(8)[-1]  # phi^8(1), about 1900 bits per coefficient
+    n = CycInt(3, x).norm()
+    assert n == oracle.norm(x) == resultant_oracle.norm(x, 3)
+
+
+def test_norm_rejects_irrational_product(monkeypatch):
+    # with a broken conjugation kernel the orbit product is x^(p-1) = -3 zeta
+    monkeypatch.setattr(cyclotomic, "_conj", lambda a, k, p: a)
+    with pytest.raises(AssertionError, match="not rational"):
+        one_minus_zeta(3).norm()
 
 
 def test_norm_multiplicative():
@@ -214,7 +230,7 @@ def test_norm_invariant_under_conjugation():
 
 
 def test_norm_of_huge_coefficients():
-    # exercises many CRT moduli in one norm
+    # a 2000-bit norm against the closed p = 3 formula
     rng = random.Random(47)
     a = CycInt(3, (rng.randint(-(10**300), 10**300), rng.randint(-(10**300), 10**300)))
     assert a.norm() == oracle.norm(a.coeffs)
