@@ -24,9 +24,7 @@ from .congruence import (
     expected_residue,
     general_congruence_check,
     is_pth_power_mod_p2,
-    is_pth_power_mod_p2_bruteforce,
     norm_congruence_check,
-    pth_power_residues_mod_p2,
     wief_equivalence_check,
     wieferich_check,
     wieferich_scan,
@@ -48,7 +46,6 @@ from .dynamics import (
     fixed_point_check,
     iterate_point,
     iterate_poly,
-    max_feasible_poly_level,
     orbit_congruence_check,
     orbit_points,
     phi,

@@ -21,9 +21,10 @@ nothing either way.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
-from .congruence import wieferich_check
+from .congruence import expected_residue, wieferich_check
 from .cyclotomic import CycInt, require_odd_prime, require_ring_prime
 from .dynamics import DEFAULT_MAX_COEFF_BITS, iterate_point, orbit_points
 from .factoring import (
@@ -84,20 +85,11 @@ class MaximalityCertificate:
 
 
 def group_order(p: int, n: int) -> int:
-    """Order of the n-fold wreath power of C_p: p^((p^n - 1)/(p - 1)).
-
-    Cross-checked against the recursion |W_1| = p, |W_k| = |W_(k-1)|^p * p.
-    """
+    """Order of the n-fold wreath power of C_p: p^((p^n - 1)/(p - 1))."""
     require_odd_prime(p)
     if n < 1:
         raise ValueError("need n >= 1")
-    order = p ** ((p**n - 1) // (p - 1))
-    recursive = p
-    for _ in range(n - 1):
-        recursive = recursive**p * p
-    if order != recursive:
-        raise AssertionError("group order formula and recursion disagree")
-    return order
+    return p ** ((p**n - 1) // (p - 1))
 
 
 def _exact_exponent(n: int, q: int) -> int:
@@ -197,6 +189,11 @@ def certificate_problems(cert: MaximalityCertificate) -> list[str]:
     unsound for composite q); exponents are re-checked by two exact
     divisions; congruences and the Wieferich flag by modular
     exponentiation; the group order by its closed formula.
+
+    Work is bounded by the size of the certificate: the group-order
+    exponent (p^n - 1)/(p - 1) may not exceed the bit length of the
+    claimed order, and no power q^e is formed when it would exceed the
+    norm it should divide.
     """
     problems: list[str] = []
     p, n = cert.p, cert.n
@@ -210,7 +207,8 @@ def certificate_problems(cert: MaximalityCertificate) -> list[str]:
 
     if cert.wieferich != (pow(2, p - 1, p2) == 1):
         problems.append(f"wieferich flag {cert.wieferich} contradicts 2^(p-1) mod p^2")
-    if cert.group_order_claimed != p ** ((p**n - 1) // (p - 1)):
+    exponent = _order_exponent(p, n, cert.group_order_claimed.bit_length())
+    if exponent is None or cert.group_order_claimed != p**exponent:
         problems.append("group_order_claimed does not match p^((p^n - 1)/(p - 1))")
     if cert.verdict not in (MAXIMAL, INDETERMINATE):
         problems.append(f"unknown verdict {cert.verdict!r}")
@@ -222,7 +220,7 @@ def certificate_problems(cert: MaximalityCertificate) -> list[str]:
     if cert.wieferich and cert.levels:
         problems.append("wieferich certificate should not carry levels")
 
-    want = (2**p - 1) % p2
+    want = expected_residue(p)
     for rec in cert.levels:
         tag = f"level {rec.m}"
         if rec.norm_abs < 1:
@@ -249,7 +247,12 @@ def certificate_problems(cert: MaximalityCertificate) -> list[str]:
             q, e = rec.witness
             if q < 2 or not is_prime(q):
                 problems.append(f"{tag}: witness {q} is not prime")
-            elif e < 1 or rec.norm_abs % q**e != 0 or rec.norm_abs % q ** (e + 1) == 0:
+            elif (
+                e < 1
+                or _power_exceeds(q, e, rec.norm_abs)
+                or rec.norm_abs % q**e != 0
+                or rec.norm_abs % q ** (e + 1) == 0
+            ):
                 problems.append(f"{tag}: {q}^{e} does not exactly divide the norm")
             elif e % p == 0:
                 problems.append(f"{tag}: witness exponent {e} is divisible by p")
@@ -269,20 +272,43 @@ def _factorization_problems(fac: Factorization, norm_abs: int, tag: str) -> list
     primes = [q for q, _ in fac.factors]
     if primes != sorted(set(primes)):
         problems.append(f"{tag}: factor primes are not strictly ascending")
-    if any(e < 1 for _, e in fac.factors):
-        problems.append(f"{tag}: factor exponent below 1")
     if fac.cofactor < 1:
         problems.append(f"{tag}: cofactor below 1")
     if fac.cofactor_status not in (UNIT, PRIME_PENDING, COMPOSITE_UNFACTORED):
         problems.append(f"{tag}: unknown cofactor status {fac.cofactor_status!r}")
     elif (fac.cofactor == 1) != (fac.cofactor_status == UNIT):
         problems.append(f"{tag}: cofactor status inconsistent with cofactor value")
-    product = fac.cofactor
-    for q, e in fac.factors:
-        product *= q**e
-    if product != norm_abs:
+    if any(e < 1 for _, e in fac.factors):
+        problems.append(f"{tag}: factor exponent below 1")
+    # a power above the norm cannot divide it, so it is never formed
+    elif any(_power_exceeds(q, e, norm_abs) for q, e in fac.factors) or (
+        fac.cofactor * math.prod(q**e for q, e in fac.factors) != norm_abs
+    ):
         problems.append(f"{tag}: factorization does not reconstruct the norm")
     return problems
+
+
+def _order_exponent(p: int, n: int, limit: int) -> int | None:
+    """(p^n - 1)/(p - 1), or None once it exceeds limit.
+
+    Horner steps on 1 + p + ... + p^(n-1) stop after about log_p(limit)
+    steps, so a hostile n costs nothing; the exponent is at least n.
+    """
+    exponent = 0
+    for _ in range(n):
+        exponent = exponent * p + 1
+        if exponent > limit:
+            return None
+    return exponent
+
+
+def _power_exceeds(q: int, e: int, bound: int) -> bool:
+    """True when |q|^e > bound >= 1 follows from bit lengths alone.
+
+    |q|^e >= 2^(e * (bitlen(q) - 1)), so with |q| >= 2 any e above
+    bound.bit_length() qualifies, and q^e is never formed for it.
+    """
+    return e * (abs(q).bit_length() - 1) >= bound.bit_length()
 
 
 def verify_certificate(cert: MaximalityCertificate) -> bool:
@@ -472,6 +498,6 @@ def _level_from_dict(problems, item, where) -> LevelRecord | None:
 def certificate_from_json(text: str) -> MaximalityCertificate:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the int-str digit limit
         raise CertificateFormatError([f"not valid JSON: {exc}"]) from exc
     return certificate_from_dict(data)

@@ -25,13 +25,7 @@ from .certificate import (
 )
 from .congruence import ABORTED, norm_congruence_check, require_scan_limit, wieferich_check, wieferich_scan
 from .cyclotomic import require_odd_prime, require_ring_prime
-from .dynamics import (
-    DEFAULT_MAX_POLY_COEFFS,
-    eisenstein_check,
-    fixed_point_check,
-    max_feasible_poly_level,
-    orbit_congruence_check,
-)
+from .dynamics import eisenstein_check, fixed_point_check, orbit_congruence_check
 from .errors import SizeLimitError
 from .factoring import FactorConfig
 
@@ -121,7 +115,11 @@ def cmd_certificate(args) -> int:
     except SizeLimitError as exc:
         print(f"size cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    text = certificate_to_json(cert)
+    try:
+        text = certificate_to_json(cert)
+    except ValueError as exc:  # an integer past Python's int-str digit limit
+        print(f"size cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -155,17 +153,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_structure(args) -> int:
-    try:
-        reports = [
-            eisenstein_check(args.p, args.n),
-            fixed_point_check(args.p, args.n),
-            orbit_congruence_check(args.p, args.n),
-        ]
-    except SizeLimitError as exc:
-        feasible = max_feasible_poly_level(args.p, DEFAULT_MAX_POLY_COEFFS)
-        print(f"size cap exceeded: {exc}", file=sys.stderr)
-        print(f"largest feasible n for p={args.p} is {feasible}", file=sys.stderr)
-        return EXIT_CAP
+    reports = [
+        eisenstein_check(args.p, args.n),
+        fixed_point_check(args.p, args.n),
+        orbit_congruence_check(args.p, args.n),
+    ]
     print(f"structure checks for p={args.p}, n={args.n}")
     for report in reports:
         print(f"  {report.check:<18} {report.status}")

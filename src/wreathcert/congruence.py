@@ -8,15 +8,14 @@ random points congruent to 1 mod (1 - zeta) (general_congruence_check).
 Wieferich primes (2^(p-1) = 1 mod p^2) are the one hypothesis the
 certificate pipeline cannot discharge; wieferich_check / wieferich_scan
 cover them, and wief_equivalence_check ties the Wieferich condition to
-2^p - 1 being a p-th power mod p^2, cross-checked against brute-force
-enumeration at small p.
+2^p - 1 being a p-th power mod p^2.  The tests compare the fast p-th-power
+criterion with brute-force enumeration.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cyclotomic import CycInt, one_minus_zeta, require_odd_prime, require_ring_prime
 from .dynamics import DEFAULT_MAX_COEFF_BITS, orbit_points, phi
@@ -34,7 +33,8 @@ MAX_SCAN_LIMIT = 10**8
 def expected_residue(p: int) -> int:
     """(2^p - 1) mod p^2, the constant every orbit norm must hit."""
     require_odd_prime(p)
-    return (2**p - 1) % p**2
+    p2 = p * p
+    return (pow(2, p, p2) - 1) % p2
 
 
 @dataclass(frozen=True)
@@ -183,22 +183,6 @@ def is_pth_power_mod_p2(a: int, p: int) -> bool:
     return pow(a, p - 1, p * p) == 1
 
 
-def is_pth_power_mod_p2_bruteforce(a: int, p: int) -> bool:
-    """Enumeration oracle: try every residue x in [0, p^2)."""
-    require_odd_prime(p)
-    p2 = p * p
-    a %= p2
-    return any(pow(x, p, p2) == a for x in range(p2))
-
-
-@lru_cache(maxsize=None)
-def pth_power_residues_mod_p2(p: int) -> frozenset[int]:
-    """The set {x^p mod p^2} over all residues x, enumerated once."""
-    require_odd_prime(p)
-    p2 = p * p
-    return frozenset(pow(x, p, p2) for x in range(p2))
-
-
 @dataclass(frozen=True)
 class WiefEquivalenceReport:
     """Wieferich condition versus p-th-power condition on 2^p - 1."""
@@ -206,34 +190,11 @@ class WiefEquivalenceReport:
     p: int
     wieferich: bool
     pth_power: bool
-    equivalent: bool
-    enumeration_checked: bool
-    enumeration_agrees: bool | None
     passed: bool
 
 
-def wief_equivalence_check(p: int, *, enumeration_limit: int = 97) -> WiefEquivalenceReport:
-    """Check: p Wieferich iff 2^p - 1 is a p-th power mod p^2.
-
-    For p up to enumeration_limit, additionally sweep every residue
-    class and compare the fast criterion with brute-force enumeration.
-    """
-    require_odd_prime(p)
-    p2 = p * p
+def wief_equivalence_check(p: int) -> WiefEquivalenceReport:
+    """Check: p Wieferich iff 2^p - 1 is a p-th power mod p^2."""
     wief = wieferich_check(p)
-    pth = is_pth_power_mod_p2((2**p - 1) % p2, p)
-    equivalent = wief == pth
-    enum_checked = p <= enumeration_limit
-    enum_agrees: bool | None = None
-    if enum_checked:
-        residues = pth_power_residues_mod_p2(p)
-        enum_agrees = all(is_pth_power_mod_p2(a, p) == (a in residues) for a in range(p2))
-    return WiefEquivalenceReport(
-        p=p,
-        wieferich=wief,
-        pth_power=pth,
-        equivalent=equivalent,
-        enumeration_checked=enum_checked,
-        enumeration_agrees=enum_agrees,
-        passed=equivalent and enum_agrees is not False,
-    )
+    pth = is_pth_power_mod_p2(expected_residue(p), p)
+    return WiefEquivalenceReport(p=p, wieferich=wief, pth_power=pth, passed=wief == pth)

@@ -14,10 +14,11 @@ multi-modular resultant in tests/resultant_oracle.py is the independent
 algorithm the tests compare against.
 
 The prime ideal generated by (1 - zeta) is the unique prime above p
-(p factors as its (p-1)-st power).  Divisibility by (1 - zeta) is
-decided through the complement product prod_{k=2}^{p-1} (1 - zeta^k):
-multiplying by it turns division by (1 - zeta) into division of every
-coordinate by p, because the full product over k = 1..p-1 equals p.
+(p factors as its (p-1)-st power).  Division by (1 - zeta) is exact
+division by prefix sums: x = (1 - zeta) y with s = y_(p-2) reads
+x_0 + ... + x_i = y_i + (i + 1) s, and at i = p - 2 the coordinate sum
+of x is p s.  The tests compare it with multiplication by the
+complement product prod_{k=2}^{p-1} (1 - zeta^k).
 
 All values are immutable; every operation returns a new element.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import RingMismatchError
 from .factoring import is_prime
@@ -213,18 +215,15 @@ class CycInt:
     def divide_by_pi(self) -> CycInt | None:
         """Exact quotient by (1 - zeta), or None when not divisible.
 
-        Multiplies by the complement product of the other (1 - zeta^k)
-        factors; divisibility then shows up as every coordinate being
-        divisible by p.
+        x is divisible exactly when its coordinate sum S (its image under
+        zeta -> 1) is divisible by p; then with s = S / p the quotient has
+        coordinates y_i = (x_0 + ... + x_i) - (i + 1) s.
         """
-        p = self.p
-        if sum(self.coeffs) % p:
-            # image under zeta -> 1 is nonzero mod p, so not in the ideal
+        s, r = divmod(sum(self.coeffs), self.p)
+        if r:
             return None
-        prod = self * _pi_complement(p)
-        if any(c % p for c in prod.coeffs):
-            raise AssertionError("residue test and complement division disagree")
-        return CycInt(p, tuple(c // p for c in prod.coeffs))
+        prefixes = accumulate(self.coeffs)
+        return CycInt(self.p, tuple(x - i * s for i, x in enumerate(prefixes, 1)))
 
     def pi_valuation(self) -> int | float:
         """Exact (1 - zeta)-adic valuation; math.inf for zero."""
@@ -258,15 +257,6 @@ def zeta(p: int, k: int = 1) -> CycInt:
 def one_minus_zeta(p: int) -> CycInt:
     """Generator of the unique prime ideal above p."""
     return CycInt(p, (1, -1))
-
-
-@lru_cache(maxsize=None)
-def _pi_complement(p: int) -> CycInt:
-    """prod_{k=2}^{p-1} (1 - zeta^k); times (1 - zeta) this equals p."""
-    acc = CycInt.one(p)
-    for k in range(2, p):
-        acc = acc * (CycInt.one(p) - zeta(p, k))
-    return acc
 
 
 # -- kernels on reduced coefficient tuples ----------------------------

@@ -1,0 +1,114 @@
+"""Second algorithms that the tests compare the library's results with.
+
+Each one answers a question the library answers another way:
+
+* the structural facts, read off the expanded iterate phi^n (from
+  iterate_poly) and off explicit orbit walks, where the library reads
+  them off phi's own coefficients and values by induction;
+* the group order by the recursion |W_1| = p, |W_k| = |W_(k-1)|^p * p,
+  where the library uses the closed formula p^((p^n - 1)/(p - 1));
+* division by (1 - zeta) through the complement product
+  prod_{k=2}^{p-1} (1 - zeta^k), whose product with (1 - zeta) is p,
+  where the library divides by prefix sums;
+* p-th powers mod p^2 by enumerating x^p for every residue x, where
+  the library uses the cyclic unit group.
+
+phi is looked up on wreathcert.dynamics at call time, by the orbit walks
+here and by iterate_poly, so a test that replaces it sees both follow.
+"""
+
+from functools import lru_cache
+
+from wreathcert import CycInt, dynamics, iterate_poly, one_minus_zeta, zeta
+
+# -- structural facts ------------------------------------------------------
+
+
+def expanded_eisenstein_failures(p: int, n: int) -> list[str]:
+    """Eisenstein shape of the expanded phi^n at the prime above p."""
+    f = iterate_poly(p, n)
+    failures = []
+    if f.leading_coefficient() != 1:
+        failures.append("leading coefficient differs from 1")
+    if f.constant_term() != one_minus_zeta(p):
+        failures.append("constant term differs from 1 - zeta")
+    for i in range(1, f.degree):
+        if any(c % p for c in f.coeffs[i].coeffs):
+            failures.append(f"coefficient of z^{i} is not divisible by {p}")
+    return failures
+
+
+def walked_fixed_point_failures(p: int, s_max: int) -> list[str]:
+    """phi^s(0) = 1 - zeta for s = 1..s_max, iterate by iterate."""
+    f = dynamics.phi(p)
+    target = one_minus_zeta(p)
+    failures = []
+    x = CycInt.zero(p)
+    for s in range(1, s_max + 1):
+        x = f(x)
+        if x != target:
+            failures.append(f"iterate {s} of 0 differs from 1 - zeta")
+    return failures
+
+
+def walked_orbit_congruence_failures(p: int, t_max: int) -> list[str]:
+    """phi^t(1) = 1 mod (1 - zeta) for t = 0..t_max, iterate by iterate."""
+    f = dynamics.phi(p)
+    one = CycInt.one(p)
+    failures = []
+    x = one
+    for t in range(t_max + 1):
+        if t:
+            x = f(x)
+        if not x.congruent_mod_pi(one):
+            failures.append(f"iterate {t} of 1 is not congruent to 1 mod (1 - zeta)")
+    return failures
+
+
+# -- group order -----------------------------------------------------------
+
+
+def group_order_recursive(p: int, n: int) -> int:
+    """|W_n| from |W_1| = p and |W_k| = |W_(k-1)|^p * p."""
+    order = p
+    for _ in range(n - 1):
+        order = order**p * p
+    return order
+
+
+# -- the prime above p -----------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def pi_complement(p: int) -> CycInt:
+    """prod_{k=2}^{p-1} (1 - zeta^k); times (1 - zeta) this equals p."""
+    acc = CycInt.one(p)
+    for k in range(2, p):
+        acc = acc * (CycInt.one(p) - zeta(p, k))
+    return acc
+
+
+def divide_by_pi_complement(x: CycInt) -> CycInt | None:
+    """x / (1 - zeta) as x * pi_complement(p) / p, or None when not exact."""
+    p = x.p
+    prod = x * pi_complement(p)
+    if any(c % p for c in prod.coeffs):
+        return None
+    return CycInt(p, tuple(c // p for c in prod.coeffs))
+
+
+# -- p-th powers mod p^2 -----------------------------------------------------
+
+
+def is_pth_power_mod_p2_bruteforce(a: int, p: int) -> bool:
+    """Try every residue x in [0, p^2)."""
+    p2 = p * p
+    a %= p2
+    return any(pow(x, p, p2) == a for x in range(p2))
+
+
+@lru_cache(maxsize=None)
+def pth_power_residues_mod_p2(p: int) -> frozenset[int]:
+    """The set {x^p mod p^2} over all residues x, enumerated once."""
+    p2 = p * p
+    return frozenset(pow(x, p, p2) for x in range(p2))

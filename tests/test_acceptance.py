@@ -11,6 +11,7 @@ import time
 
 import resultant_oracle
 import zeta3_oracle as oracle
+from oracles import pth_power_residues_mod_p2
 from wreathcert import (
     MAXIMAL,
     CycInt,
@@ -26,7 +27,6 @@ from wreathcert import (
     one_minus_zeta,
     orbit_congruence_check,
     phi,
-    pth_power_residues_mod_p2,
     verify_certificate,
     wieferich_check,
     wieferich_scan,

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+import oracles
+
 from wreathcert import (
     INDETERMINATE,
     MAXIMAL,
@@ -34,6 +36,12 @@ def test_group_order_values():
     assert group_order(3, 5) == 3 ** ((3**5 - 1) // 2)
     with pytest.raises(ValueError):
         group_order(3, 0)
+
+
+@pytest.mark.parametrize("p,n_top", [(3, 6), (5, 3), (1093, 2)])
+def test_group_order_matches_recursion(p, n_top):
+    for n in range(1, n_top + 1):
+        assert group_order(p, n) == oracles.group_order_recursive(p, n)
 
 
 def test_level_witness_p3_first_levels():

@@ -1,9 +1,12 @@
 """CLI surface: subcommands, exit codes, JSON stability."""
 
 import json
+import sys
+import time
 
 import pytest
 
+from wreathcert import CycPoly, phi
 from wreathcert.cli import (
     EXIT_CAP,
     EXIT_FAIL,
@@ -164,6 +167,60 @@ def test_verify_bad_json(tmp_path, capsys):
     assert "malformed" in err
 
 
+def _set_witness_exponent(doc):
+    doc["levels"][0]["witness"][1] = str(10**12)
+
+
+def _set_factor_exponent(doc):
+    doc["levels"][0]["factorization"]["factors"][0][1] = str(10**12)
+
+
+# each edit would make verify raise a number to a power taken from the file
+HOSTILE_EDITS = {
+    "n": lambda doc: doc.update(n=40),
+    "witness exponent": _set_witness_exponent,
+    "factor exponent": _set_factor_exponent,
+}
+
+
+@pytest.mark.parametrize("edit", sorted(HOSTILE_EDITS))
+def test_verify_rejects_hostile_sizes_quickly(tmp_path, capsys, edit):
+    out_path = tmp_path / "cert.json"
+    assert run_cli(["certificate", "--p", "3", "--max-n", "2", "--out", str(out_path)], capsys)[0] == EXIT_OK
+    document = json.loads(out_path.read_text())
+    HOSTILE_EDITS[edit](document)
+    out_path.write_text(json.dumps(document))
+    started = time.perf_counter()
+    code, _, err = run_cli(["verify", "--in", str(out_path)], capsys)
+    assert time.perf_counter() - started < 1
+    assert code == EXIT_FAIL
+    assert "verification failed" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-str digit limit")
+def test_verify_oversized_integer_is_malformed(tmp_path, capsys):
+    bad = tmp_path / "huge-p.json"
+    bad.write_text('{"p": 1' + "0" * 4999 + "}")
+    code, _, err = run_cli(["verify", "--in", str(bad)], capsys)
+    assert code == EXIT_USAGE
+    assert "malformed certificate" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
+def test_certificate_past_int_str_limit_exits_cap(tmp_path, capsys):
+    # the group order 1093^1094 has 3325 decimal digits
+    out_path = tmp_path / "w.json"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, _, err = run_cli(["certificate", "--p", "1093", "--max-n", "2", "--out", str(out_path)], capsys)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == EXIT_CAP
+    assert "size cap exceeded" in err
+    assert not out_path.exists()
+
+
 def test_verify_missing_file(tmp_path, capsys):
     code, _, err = run_cli(["verify", "--in", str(tmp_path / "absent.json")], capsys)
     assert code == EXIT_IO
@@ -177,11 +234,26 @@ def test_structure_pass(capsys):
     assert code == EXIT_OK
 
 
-def test_structure_cap_suggests_feasible_n(capsys):
-    code, _, err = run_cli(["structure", "--p", "3", "--n", "9"], capsys)
-    assert code == EXIT_CAP
-    assert "largest feasible n" in err
-    assert "8" in err
+def test_structure_has_no_cap(capsys):
+    # the checks read phi alone, so any n costs the same
+    for p, n in [(3, 9), (3, 1000), (101, 10**6)]:
+        started = time.perf_counter()
+        code, out, err = run_cli(["structure", "--p", str(p), "--n", str(n)], capsys)
+        assert time.perf_counter() - started < 1
+        assert code == EXIT_OK and err == ""
+        assert out.splitlines()[0] == f"structure checks for p={p}, n={n}"
+        assert out.count("PASS") == 3
+
+
+def test_structure_refuted_exits_fail(monkeypatch, capsys):
+    coeffs = list(phi(5).coeffs)
+    coeffs[1] = coeffs[1] + 1  # z^1 coefficient 6, not divisible by 5
+    bad = CycPoly(5, coeffs)
+    monkeypatch.setattr("wreathcert.dynamics.phi", lambda p: bad)
+    code, out, _ = run_cli(["structure", "--p", "5", "--n", "2"], capsys)
+    assert code == EXIT_FAIL
+    assert f"  {'eisenstein':<18} REFUTED" in out
+    assert "coefficient of z^1 is not divisible by 5" in out
 
 
 def test_threads_flag_removed(capsys):

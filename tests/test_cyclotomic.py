@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import oracles
 import resultant_oracle
 import zeta3_oracle as oracle
 from wreathcert import cyclotomic
@@ -260,6 +261,16 @@ def test_divide_by_pi_inverts_multiplication():
         for _ in range(50):
             a = rand_elem(rng, p, 1000)
             assert (one_minus_zeta(p) * a).divide_by_pi() == a
+
+
+def test_divide_by_pi_matches_complement_product():
+    rng = random.Random(57)
+    for p in SUPPORTED_PRIMES:
+        pi = one_minus_zeta(p)
+        samples = [rand_elem(rng, p, 1000) for _ in range(4)]
+        samples += [pi * a for a in samples] + [CycInt.from_int(p, p), CycInt.zero(p), pi]
+        for x in samples:
+            assert x.divide_by_pi() == oracles.divide_by_pi_complement(x)
 
 
 def test_valuation_additivity():

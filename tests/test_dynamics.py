@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import oracles
 import zeta3_oracle as oracle
 from wreathcert import (
     CycInt,
@@ -14,7 +15,6 @@ from wreathcert import (
     fixed_point_check,
     iterate_point,
     iterate_poly,
-    max_feasible_poly_level,
     one_minus_zeta,
     orbit_congruence_check,
     orbit_points,
@@ -124,9 +124,8 @@ def test_iterate_poly_cap():
         iterate_poly(3, 9)  # 3^9 + 1 coefficients exceeds the default cap
     with pytest.raises(SizeLimitError):
         iterate_poly(5, 3, max_coeffs=100)
-    assert max_feasible_poly_level(3) == 8
-    assert max_feasible_poly_level(5) == 5
-    assert max_feasible_poly_level(3, 100) == 4
+    with pytest.raises(SizeLimitError):
+        iterate_poly(3, 10**6)  # p^n past the int-str digit limit
 
 
 def test_poly_arithmetic_basics():
@@ -169,6 +168,70 @@ def test_orbit_congruence_small():
     for p in (3, 5):
         report = orbit_congruence_check(p, 3)
         assert report.passed, report.failures
+
+
+ORACLE_OF = {
+    eisenstein_check: oracles.expanded_eisenstein_failures,
+    fixed_point_check: oracles.walked_fixed_point_failures,
+    orbit_congruence_check: oracles.walked_orbit_congruence_failures,
+}
+STRUCTURE_ORACLE_POINTS = [(3, n) for n in range(1, 7)] + [(5, n) for n in range(1, 4)] + [(7, 1), (7, 2)]
+
+
+@pytest.mark.parametrize("p,n", STRUCTURE_ORACLE_POINTS)
+def test_structure_checks_match_oracles(p, n):
+    # the expanded iterate and the orbit walks settle level n directly;
+    # the checks settle every level at once from phi
+    for check, oracle_failures in ORACLE_OF.items():
+        report = check(p, n)
+        assert report.limit == n
+        assert report.passed == (oracle_failures(p, n) == [])
+
+
+def test_structure_checks_do_not_depend_on_n():
+    for check in ORACLE_OF:
+        small, huge = check(101, 1), check(101, 10**6)
+        assert small.passed and huge.passed
+        assert huge.limit == 10**6 and huge.failures == small.failures
+
+
+def test_structure_checks_validate():
+    with pytest.raises(ValueError):
+        eisenstein_check(3, 0)
+    with pytest.raises(ValueError):
+        fixed_point_check(3, 0)
+    with pytest.raises(ValueError):
+        orbit_congruence_check(3, -1)
+    with pytest.raises(ValueError):
+        eisenstein_check(103, 1)
+
+
+def broken_phi(p, index, delta):
+    """phi(p) with delta added to its coefficient of z^index."""
+    coeffs = list(phi(p).coeffs)
+    coeffs[index] = coeffs[index] + delta
+    return CycPoly(p, coeffs)
+
+
+# (index, delta): z^1 no longer divisible by p; phi(0) = 2 - zeta, which
+# also makes phi(1) = 2 mod (1 - zeta); leading coefficient 1 + p
+BROKEN_PHI = [
+    (1, 1, eisenstein_check, "coefficient of z^1 is not divisible by 5"),
+    (5, 5, eisenstein_check, "phi is not monic of degree 5"),
+    (0, 1, eisenstein_check, "phi(0) differs from 1 - zeta"),
+    (0, 1, fixed_point_check, "phi(0) differs from 1 - zeta"),
+    (0, 1, orbit_congruence_check, "phi(1) is not congruent to 1 mod (1 - zeta)"),
+]
+
+
+@pytest.mark.parametrize("index,delta,check,message", BROKEN_PHI)
+def test_structure_checks_refute_broken_phi(monkeypatch, index, delta, check, message):
+    bad = broken_phi(5, index, delta)
+    monkeypatch.setattr("wreathcert.dynamics.phi", lambda p: bad)
+    report = check(5, 1)
+    assert report.status == "REFUTED"
+    assert message in report.failures
+    assert ORACLE_OF[check](5, 1)  # the oracle sees the same polynomial fail
 
 
 def test_orbit_congruence_norm_equivalent():
