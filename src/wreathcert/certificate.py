@@ -1,16 +1,18 @@
 """Maximality certificates for the iterated map over Z[zeta_p].
 
-The certified route: if p is not Wieferich and, for every level
-m = 1..n, some rational prime divides |norm(phi^m(1))| with exponent
-not divisible by p, then the level's ideal factorization cannot be a
-perfect p-th power, which is exactly the per-level hypothesis needed
-for the Galois group of the n-th iterate to be the full n-fold wreath
-product of C_p, of order p^((p^n - 1)/(p - 1)).
+The per-level criterion: level m holds when some rational prime q has
+q^e exactly dividing N(phi^m(1)) with p not dividing e.  The norm of a
+p-th-power ideal is a p-th power, so the ideal (phi^m(1)) is then not a
+p-th power.  With p not Wieferich and every level m = 1..n holding,
+that is the per-level hypothesis for the Galois group of the n-th
+iterate to be the full n-fold wreath product of C_p, of order
+p^((p^n - 1)/(p - 1)).
 
-build_certificate collects one witness prime per level from the norm's
-rational factorization; verify_certificate re-checks a certificate with
-cheap arithmetic only (exact divisions, modular exponentiation, the
-group-order formula) and never re-factors.
+A level records only its norm and its witness (q, e).  build_certificate
+finds the witness by factoring the norm.  verify_certificate never
+factors: it recomputes every norm from phi along the orbit of 1, so each
+number it accepts is tied to phi, and re-checks the witness by a
+deterministic primality test and two exact divisions.
 
 A failed witness search is reported as INDETERMINATE, never as a
 refutation: rational exponents all divisible by p does not force the
@@ -21,21 +23,14 @@ nothing either way.
 from __future__ import annotations
 
 import json
-import math
+import random
 from dataclasses import dataclass
 
 from .congruence import expected_residue, wieferich_check
 from .cyclotomic import CycInt, require_odd_prime, require_ring_prime
 from .dynamics import DEFAULT_MAX_COEFF_BITS, iterate_point, orbit_points
-from .factoring import (
-    COMPOSITE_UNFACTORED,
-    PRIME_PENDING,
-    UNIT,
-    FactorConfig,
-    Factorization,
-    factor,
-    is_prime,
-)
+from .errors import SizeLimitError
+from .factoring import DETERMINISTIC_LIMIT, FactorConfig, factor, is_prime_certain
 
 SCHEMA = "wreath-cert/1"
 
@@ -43,6 +38,13 @@ SCHEMA = "wreath-cert/1"
 WITNESS_FOUND = "WITNESS_FOUND"
 INDETERMINATE = "INDETERMINATE"
 MAXIMAL = "MAXIMAL"
+
+# Past this many bits in (p - 1) * (coefficient bits of the point), an exact
+# norm costs from milliseconds up to minutes (p = 101, level 3), and a file
+# may ask for one level past the norms it honestly holds; a fingerprint
+# modulo a random prime, which the file cannot predict, rejects a false norm
+# before the exact one is computed.
+_FINGERPRINT_BITS = 4096
 
 WIEFERICH_NOTE = (
     "p is a Wieferich prime, so the norm congruence no longer rules out "
@@ -61,15 +63,11 @@ class CertificateFormatError(ValueError):
 
 @dataclass(frozen=True)
 class LevelRecord:
-    """Everything verified about one level of the orbit of 1."""
+    """One level of the orbit of 1: the norm N(phi^m(1)) and its witness (q, e)."""
 
     m: int
     norm_abs: int
-    norm_mod_p2: int
-    factorization: Factorization
     witness: tuple[int, int] | None
-    unit_check: bool
-    p_coprime_check: bool
     status: str
 
 
@@ -112,16 +110,7 @@ def _level_record(p: int, m: int, point: CycInt, cfg: FactorConfig) -> LevelReco
         if e % p:
             witness = (q, e)
             break
-    return LevelRecord(
-        m=m,
-        norm_abs=norm,
-        norm_mod_p2=norm % p**2,
-        factorization=fac,
-        witness=witness,
-        unit_check=norm != 1,
-        p_coprime_check=norm % p != 0,
-        status=WITNESS_FOUND if witness else INDETERMINATE,
-    )
+    return LevelRecord(m=m, norm_abs=norm, witness=witness, status=WITNESS_FOUND if witness else INDETERMINATE)
 
 
 def level_witness(
@@ -183,17 +172,22 @@ def build_certificate(
 
 
 def certificate_problems(cert: MaximalityCertificate) -> list[str]:
-    """Re-check a certificate without re-factoring; list what fails.
+    """Re-check a certificate without factoring; list what fails.
 
-    Witness primality is re-tested (it is cheap and the witness rule is
-    unsound for composite q); exponents are re-checked by two exact
-    divisions; congruences and the Wieferich flag by modular
-    exponentiation; the group order by its closed formula.
+    Level m passes when its norm_abs is N(phi^m(1)), recomputed here along
+    the orbit of 1, and its witness (q, e) has q prime below
+    DETERMINISTIC_LIMIT (so primality is certain), q^e exactly dividing
+    the norm, and p not dividing e.  The norm must also be 2^p - 1 mod p^2,
+    as every norm on the orbit of 1 is.  The Wieferich flag is re-checked
+    by modular exponentiation and the group order by its closed formula.
 
-    Work is bounded by the size of the certificate: the group-order
-    exponent (p^n - 1)/(p - 1) may not exceed the bit length of the
-    claimed order, and no power q^e is formed when it would exceed the
-    norm it should divide.
+    Work is bounded by the size of the certificate: p must be below
+    DETERMINISTIC_LIMIT, the group-order exponent (p^n - 1)/(p - 1) may not
+    exceed the bit length of the claimed order, no power q^e is formed when
+    it would exceed the norm, and the orbit walk stops at the first level
+    whose norm differs, so a file buys at most one orbit step beyond the
+    norms it holds.  A large point's norm is first compared modulo a random
+    prime, so a false claim there costs no exact norm.
     """
     problems: list[str] = []
     p, n = cert.p, cert.n
@@ -223,29 +217,18 @@ def certificate_problems(cert: MaximalityCertificate) -> list[str]:
     want = expected_residue(p)
     for rec in cert.levels:
         tag = f"level {rec.m}"
-        if rec.norm_abs < 1:
-            problems.append(f"{tag}: norm_abs must be positive")
-            continue
-        if rec.norm_mod_p2 != rec.norm_abs % p2:
-            problems.append(f"{tag}: norm_mod_p2 is not norm_abs mod p^2")
-        if rec.norm_mod_p2 != want:
-            problems.append(f"{tag}: norm residue {rec.norm_mod_p2} differs from 2^p - 1 = {want} mod p^2")
-        if rec.unit_check is not (rec.norm_abs != 1):
-            problems.append(f"{tag}: unit_check inconsistent with norm_abs")
-        if not rec.unit_check:
-            problems.append(f"{tag}: iterate norm is a unit")
-        if rec.p_coprime_check is not (rec.norm_abs % p != 0):
-            problems.append(f"{tag}: p_coprime_check inconsistent with norm_abs")
-        if not rec.p_coprime_check:
-            problems.append(f"{tag}: norm divisible by p")
-        problems.extend(_factorization_problems(rec.factorization, rec.norm_abs, tag))
+        residue = rec.norm_abs % p2
+        if residue != want:
+            problems.append(f"{tag}: norm residue {residue} differs from 2^p - 1 = {want} mod p^2")
         if (rec.witness is not None) != (rec.status == WITNESS_FOUND):
             problems.append(f"{tag}: status {rec.status} inconsistent with witness")
         if rec.status not in (WITNESS_FOUND, INDETERMINATE):
             problems.append(f"{tag}: unknown status {rec.status!r}")
         if rec.witness is not None:
             q, e = rec.witness
-            if q < 2 or not is_prime(q):
+            if q >= DETERMINISTIC_LIMIT:
+                problems.append(f"{tag}: a {q.bit_length()}-bit witness is past the deterministic primality range")
+            elif not is_prime_certain(q):
                 problems.append(f"{tag}: witness {q} is not prime")
             elif (
                 e < 1
@@ -256,6 +239,8 @@ def certificate_problems(cert: MaximalityCertificate) -> list[str]:
                 problems.append(f"{tag}: {q}^{e} does not exactly divide the norm")
             elif e % p == 0:
                 problems.append(f"{tag}: witness exponent {e} is divisible by p")
+    if cert.levels:
+        problems.extend(_norm_problems(p, [rec.norm_abs for rec in cert.levels]))
 
     should_be_maximal = not cert.wieferich and bool(cert.levels) and all(
         rec.status == WITNESS_FOUND for rec in cert.levels
@@ -265,27 +250,30 @@ def certificate_problems(cert: MaximalityCertificate) -> list[str]:
     return problems
 
 
-def _factorization_problems(fac: Factorization, norm_abs: int, tag: str) -> list[str]:
-    problems = []
-    if fac.n != norm_abs:
-        problems.append(f"{tag}: factorization is of {fac.n}, not of the norm")
-    primes = [q for q, _ in fac.factors]
-    if primes != sorted(set(primes)):
-        problems.append(f"{tag}: factor primes are not strictly ascending")
-    if fac.cofactor < 1:
-        problems.append(f"{tag}: cofactor below 1")
-    if fac.cofactor_status not in (UNIT, PRIME_PENDING, COMPOSITE_UNFACTORED):
-        problems.append(f"{tag}: unknown cofactor status {fac.cofactor_status!r}")
-    elif (fac.cofactor == 1) != (fac.cofactor_status == UNIT):
-        problems.append(f"{tag}: cofactor status inconsistent with cofactor value")
-    if any(e < 1 for _, e in fac.factors):
-        problems.append(f"{tag}: factor exponent below 1")
-    # a power above the norm cannot divide it, so it is never formed
-    elif any(_power_exceeds(q, e, norm_abs) for q, e in fac.factors) or (
-        fac.cofactor * math.prod(q**e for q, e in fac.factors) != norm_abs
-    ):
-        problems.append(f"{tag}: factorization does not reconstruct the norm")
-    return problems
+def _norm_problems(p: int, norms: list[int]) -> list[str]:
+    """The first m with norms[m - 1] != N(phi^m(1)), walking the orbit of 1."""
+    try:
+        require_ring_prime(p)
+        for m, (claimed, point) in enumerate(zip(norms, orbit_points(p, CycInt.one(p), len(norms))), 1):
+            if _norm_differs(point, claimed):
+                return [f"level {m}: norm_abs is not the norm of phi^{m}(1)"]
+    except (ValueError, SizeLimitError) as exc:
+        return [f"levels cannot be recomputed: {exc}"]
+    return []
+
+
+def _norm_differs(x: CycInt, claimed: int) -> bool:
+    """N(x) != claimed, with a random fingerprint first when N(x) is large."""
+    p = x.p
+    if (p - 1) * max(c.bit_length() for c in x.coeffs) > _FINGERPRINT_BITS:
+        rng = random.SystemRandom()
+        while True:
+            q = 2 * p * rng.getrandbits(60) + 1
+            if is_prime_certain(q):
+                break
+        if x.norm_mod(q) != claimed % q:
+            return True
+    return x.norm() != claimed
 
 
 def _order_exponent(p: int, n: int, limit: int) -> int | None:
@@ -319,8 +307,11 @@ def verify_certificate(cert: MaximalityCertificate) -> bool:
 # -- serialization ------------------------------------------------------
 #
 # Schema "wreath-cert/1": one JSON document; every possibly-large
-# integer (norms, primes, exponents, cofactor, group order) is a
-# decimal string so no consumer silently truncates at 64 bits.
+# integer (norms, primes, exponents, group order) is a decimal string so
+# no consumer silently truncates at 64 bits.  Level keys other than m,
+# norm_abs, witness and status are ignored, so documents that still carry
+# the retired factorization, norm_mod_p2, unit_check and p_coprime_check
+# parse and verify.
 
 
 def certificate_to_dict(cert: MaximalityCertificate) -> dict:
@@ -340,15 +331,7 @@ def _level_to_dict(rec: LevelRecord) -> dict:
     return {
         "m": rec.m,
         "norm_abs": str(rec.norm_abs),
-        "norm_mod_p2": str(rec.norm_mod_p2),
-        "factorization": {
-            "factors": [[str(q), str(e)] for q, e in rec.factorization.factors],
-            "cofactor": str(rec.factorization.cofactor),
-            "cofactor_status": rec.factorization.cofactor_status,
-        },
         "witness": [str(rec.witness[0]), str(rec.witness[1])] if rec.witness else None,
-        "unit_check": rec.unit_check,
-        "p_coprime_check": rec.p_coprime_check,
         "status": rec.status,
     }
 
@@ -431,10 +414,6 @@ def _level_from_dict(problems, item, where) -> LevelRecord | None:
     m = _want(problems, item, "m", int, where)
     norm_raw = _want(problems, item, "norm_abs", str, where)
     norm_abs = _parse_bigint(problems, norm_raw, where) if norm_raw is not None else None
-    mod_raw = _want(problems, item, "norm_mod_p2", str, where)
-    norm_mod = _parse_bigint(problems, mod_raw, where) if mod_raw is not None else None
-    unit = _want(problems, item, "unit_check", bool, where)
-    coprime = _want(problems, item, "p_coprime_check", bool, where)
     status = _want(problems, item, "status", str, where)
 
     witness = None
@@ -452,47 +431,9 @@ def _level_from_dict(problems, item, where) -> LevelRecord | None:
         else:
             problems.append(f"{where}: witness must be null or a pair of decimal strings")
 
-    fraw = item.get("factorization")
-    fac = None
-    if not isinstance(fraw, dict):
-        problems.append(f"{where}: missing factorization object")
-    else:
-        pairs = []
-        ok = True
-        raw_pairs = fraw.get("factors")
-        if not isinstance(raw_pairs, list):
-            problems.append(f"{where}: factorization.factors must be a list")
-            ok = False
-        else:
-            for pair in raw_pairs:
-                if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, str) for v in pair)):
-                    problems.append(f"{where}: factor entries must be pairs of decimal strings")
-                    ok = False
-                    break
-                q = _parse_bigint(problems, pair[0], f"{where}.factors")
-                e = _parse_bigint(problems, pair[1], f"{where}.factors")
-                if q is None or e is None:
-                    ok = False
-                    break
-                pairs.append((q, e))
-        cof_raw = _want(problems, fraw, "cofactor", str, f"{where}.factorization")
-        cof = _parse_bigint(problems, cof_raw, f"{where}.cofactor") if cof_raw is not None else None
-        stat = _want(problems, fraw, "cofactor_status", str, f"{where}.factorization")
-        if ok and cof is not None and stat is not None and norm_abs is not None:
-            fac = Factorization(norm_abs, tuple(pairs), cof, stat)
-
-    if None in (m, norm_abs, norm_mod, unit, coprime, status) or fac is None:
+    if None in (m, norm_abs, status):
         return None
-    return LevelRecord(
-        m=m,
-        norm_abs=norm_abs,
-        norm_mod_p2=norm_mod,
-        factorization=fac,
-        witness=witness,
-        unit_check=unit,
-        p_coprime_check=coprime,
-        status=status,
-    )
+    return LevelRecord(m=m, norm_abs=norm_abs, witness=witness, status=status)
 
 
 def certificate_from_json(text: str) -> MaximalityCertificate:

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .cyclotomic import CycInt, one_minus_zeta, require_odd_prime, require_ring_prime
-from .dynamics import DEFAULT_MAX_COEFF_BITS, orbit_points, phi
+from .dynamics import DEFAULT_MAX_COEFF_BITS, orbit_points, phi_at
 from .errors import SizeLimitError
 
 PASS = "PASS"
@@ -113,7 +113,6 @@ def general_congruence_check(
         raise ValueError("need coeff_bound >= 1")
     want = expected_residue(p)
     p2 = p * p
-    f = phi(p)
     pi = one_minus_zeta(p)
     one = CycInt.one(p)
     rng = random.Random(seed)
@@ -121,7 +120,7 @@ def general_congruence_check(
     for t in range(1, trials + 1):
         r = CycInt(p, [rng.randint(-coeff_bound, coeff_bound) for _ in range(p - 1)])
         x = one + pi * r
-        residue = f(x).norm() % p2
+        residue = phi_at(x).norm() % p2
         items.append(CongruenceItem(t, residue, PASS if residue == want else FAIL))
     return CongruenceReport(
         p=p,

@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import RingMismatchError
-from .factoring import is_prime
+from .factoring import DETERMINISTIC_LIMIT, is_prime
 
 # Ring degree is p-1; construction rejects larger primes so vector
 # sizes stay sane.  Pure-integer checks (Wieferich etc.) do not go
@@ -40,9 +40,19 @@ MAX_RING_PRIME = 101
 
 @lru_cache(maxsize=None)
 def require_odd_prime(p: int) -> int:
-    """Validate that p is an odd prime (deterministically); return it."""
+    """Validate that p is an odd prime, proved so deterministically; return it.
+
+    p at or above DETERMINISTIC_LIMIT is refused before any primality
+    test, and named by its bit length: is_prime is only probabilistic
+    there, and slow on hostile input of thousands of digits.
+    """
     if not isinstance(p, int) or isinstance(p, bool):
         raise TypeError(f"prime must be an int, got {type(p).__name__}")
+    if p >= DETERMINISTIC_LIMIT:
+        raise ValueError(
+            f"a {p.bit_length()}-bit integer is past the deterministic primality range "
+            f"(p < {DETERMINISTIC_LIMIT})"
+        )
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     return p
@@ -174,6 +184,21 @@ class CycInt:
 
     __rmul__ = __mul__
 
+    def __pow__(self, e: int) -> CycInt:
+        """self^e for an int e >= 0, by square-and-multiply."""
+        if not isinstance(e, int) or isinstance(e, bool):
+            return NotImplemented
+        if e < 0:
+            raise ValueError("ring elements have no negative powers")
+        if e == 0:
+            return CycInt.one(self.p)
+        p, acc = self.p, self.coeffs
+        for bit in bin(e)[3:]:
+            acc = _mul(acc, acc, p)
+            if bit == "1":
+                acc = _mul(acc, self.coeffs, p)
+        return CycInt(p, acc)
+
     # -- Galois action ------------------------------------------------
 
     def conjugate(self, k: int) -> CycInt:
@@ -209,6 +234,27 @@ class CycInt:
         if any(y[1:]):
             raise AssertionError(f"Galois orbit product is not rational: {CycInt(p, y)!r}")
         return y[0]
+
+    def norm_mod(self, q: int) -> int:
+        """N(self) mod q, for a prime q = 1 mod p.
+
+        F_q then holds p - 1 primitive p-th roots of unity w^k, the images
+        of zeta under the p - 1 ring maps Z[zeta] -> F_q, and N(self) =
+        prod_k self(w^k) mod q: O(p^2) word-sized steps, however large the
+        coefficients.
+        """
+        p = self.p
+        if q % p != 1:
+            raise ValueError(f"need a prime q = 1 mod {p}, got {q}")
+        w = next(w for w in (pow(a, (q - 1) // p, q) for a in range(2, q)) if w != 1)
+        coeffs = [c % q for c in reversed(self.coeffs)]
+        result = 1
+        for k in range(1, p):
+            root, value = pow(w, k, q), 0
+            for c in coeffs:
+                value = (value * root + c) % q
+            result = result * value % q
+        return result
 
     # -- the prime above p ---------------------------------------------
 

@@ -20,10 +20,12 @@ import math
 import random
 from dataclasses import dataclass
 
-# Miller-Rabin with these bases is a proven primality test below this
-# bound (Sorenson & Webster).
+# Miller-Rabin with the first thirteen prime bases is a proven primality
+# test below this bound, the least strong pseudoprime to all of them
+# (Sorenson & Webster 2017); the first twelve pass the composite
+# 318665857834031151167461.
 DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,

@@ -13,7 +13,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first twelve prime bases: exact for n < 3.3e24."""
+    """Miller-Rabin with the first twelve prime bases: exact for n < 2^64, so for every prime used here."""
     if n < 2:
         return False
     for q in _MR_BASES:

@@ -8,25 +8,26 @@ import pytest
 import oracles
 
 from wreathcert import (
+    DETERMINISTIC_LIMIT,
     INDETERMINATE,
     MAXIMAL,
     SCHEMA,
     WITNESS_FOUND,
     CertificateFormatError,
     FactorConfig,
-    Factorization,
     build_certificate,
     certificate_from_json,
     certificate_problems,
     certificate_to_json,
     group_order,
+    is_prime,
     level_witness,
     verify_certificate,
 )
 from wreathcert.certificate import certificate_to_dict
-from wreathcert.factoring import PRIME_PENDING, UNIT
 
 P3_WITNESSES = [(7, 1), (43, 1), (11, 2), (1429, 1), (139, 1)]
+P3_LEVEL5_NORM = 8050183582883899128838114506334853717591107  # 139 * a 136-bit prime
 
 
 def test_group_order_values():
@@ -47,15 +48,12 @@ def test_group_order_matches_recursion(p, n_top):
 def test_level_witness_p3_first_levels():
     rec = level_witness(3, 1)
     assert rec.norm_abs == 7
-    assert rec.norm_mod_p2 == 7
     assert rec.witness == (7, 1)
     assert rec.status == WITNESS_FOUND
-    assert rec.unit_check and rec.p_coprime_check
     assert level_witness(3, 2).witness == (43, 1)
     rec3 = level_witness(3, 3)
     assert rec3.witness == (11, 2)  # exponent 2 is the point: 2 != 0 mod 3
-    assert rec3.norm_abs == 58201
-    assert rec3.factorization.factors == ((11, 2), (13, 1), (37, 1))
+    assert rec3.norm_abs == 58201  # 11^2 * 13 * 37
 
 
 def test_level_witness_deep_levels():
@@ -63,11 +61,10 @@ def test_level_witness_deep_levels():
     assert rec4.witness == (1429, 1)
     assert rec4.norm_abs == 200417348396653
     rec5 = level_witness(3, 5)
+    # the norm's other prime factor is only BPSW-probable (see
+    # test_factoring.py); the witness search must not depend on certifying it
     assert rec5.witness == (139, 1)
-    # the remaining cofactor is a 136-bit probable prime; the witness
-    # search must not depend on certifying it
-    assert rec5.factorization.cofactor_status == PRIME_PENDING
-    assert rec5.factorization.cofactor == 57914989804920137617540392131905422428713
+    assert rec5.norm_abs == P3_LEVEL5_NORM
     assert rec5.status == WITNESS_FOUND
 
 
@@ -139,16 +136,10 @@ def test_verify_rejects_pth_power_exponent_rule():
     # a witness exponent divisible by p certifies nothing even when the
     # division is exact: synthetic record with 7^3 exactly dividing
     cert = build_certificate(3, 1)
-    bad = tamper_level(
-        cert,
-        0,
-        norm_abs=343,
-        norm_mod_p2=343 % 9,
-        factorization=Factorization(343, ((7, 3),), 1, UNIT),
-        witness=(7, 3),
-    )
+    bad = tamper_level(cert, 0, norm_abs=343, witness=(7, 3))
     problems = certificate_problems(bad)
     assert any("divisible by p" in msg for msg in problems)
+    assert any("not the norm of phi^1(1)" in msg for msg in problems)
 
 
 def test_verify_rejects_wrong_group_order():
@@ -175,8 +166,10 @@ def test_verify_rejects_inexact_exponent():
 
 def test_verify_rejects_wrong_residue():
     cert = build_certificate(3, 2)
-    bad = tamper_level(cert, 0, norm_mod_p2=8)
-    assert not verify_certificate(bad)
+    bad = tamper_level(cert, 0, norm_abs=8 * 7)  # 56 = 2 mod 9; 7 still divides exactly
+    problems = certificate_problems(bad)
+    assert any("norm residue 2 differs from 2^p - 1 = 7" in msg for msg in problems)
+    assert any("not the norm of phi^1(1)" in msg for msg in problems)
 
 
 def test_verify_rejects_flipped_wieferich_flag():
@@ -199,12 +192,139 @@ def test_verify_rejects_inconsistent_verdict():
     assert any("verdict" in msg for msg in problems)
 
 
-def test_verify_rejects_broken_factorization():
-    cert = build_certificate(3, 1)
-    wrong = Factorization(7, ((7, 2),), 1, UNIT)
-    bad = tamper_level(cert, 0, factorization=wrong)
+def test_verify_rejects_uncertain_witness():
+    # the 136-bit cofactor of the level-5 norm passes BPSW and divides the
+    # norm exactly once, but its primality is not certain
+    cert = build_certificate(3, 5)
+    q = P3_LEVEL5_NORM // 139
+    assert q >= DETERMINISTIC_LIMIT and is_prime(q)
+    bad = tamper_level(cert, 4, witness=(q, 1))
     problems = certificate_problems(bad)
-    assert any("reconstruct" in msg for msg in problems)
+    assert problems == ["level 5: a 136-bit witness is past the deterministic primality range"]
+
+
+# -- forgeries: every number must be tied to phi ---------------------------
+
+
+def _problems_after(edit, p=3, n=2):
+    data = certificate_to_dict(build_certificate(p, n))
+    edit(data)
+    return certificate_problems(certificate_from_json(json.dumps(data)))
+
+
+def _forge(level, norm, witness, factors):
+    """Rewrite a level of a p = 3 certificate, retired fields included, so it is self-consistent."""
+    level.update(
+        norm_abs=str(norm),
+        norm_mod_p2=str(norm % 9),
+        factorization={"factors": [[str(q), str(e)] for q, e in factors], "cofactor": "1", "cofactor_status": "UNIT"},
+        witness=[str(v) for v in witness],
+        unit_check=True,
+        p_coprime_check=True,
+        status=WITNESS_FOUND,
+    )
+
+
+def test_verify_rejects_self_consistent_prime_norm():
+    # 97 is prime and 7 mod 9 like the true norm 43, so it is its own witness
+    problems = _problems_after(lambda data: _forge(data["levels"][1], 97, (97, 1), [(97, 1)]))
+    assert problems == ["level 2: norm_abs is not the norm of phi^2(1)"]
+
+
+def test_verify_rejects_inflated_norm_with_true_witness():
+    # 70 = 2 * 5 * 7 is 7 mod 9 and 7 still divides it exactly once
+    problems = _problems_after(lambda data: _forge(data["levels"][0], 70, (7, 1), [(2, 1), (5, 1), (7, 1)]))
+    assert problems == ["level 1: norm_abs is not the norm of phi^1(1)"]
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_verify_rejects_prime_with_the_same_residue(m):
+    # the level's norm becomes another prime with the same residue mod 9,
+    # used as its own witness
+    def edit(data):
+        level = data["levels"][m - 1]
+        original = int(level["norm_abs"])
+        q = original % 9
+        while q == original or not is_prime(q):
+            q += 9
+        _forge(level, q, (q, 1), [(q, 1)])
+
+    assert _problems_after(edit, 3, 5) == [f"level {m}: norm_abs is not the norm of phi^{m}(1)"]
+
+
+def test_verify_stops_at_the_first_false_norm():
+    def edit(data):
+        for level in data["levels"]:
+            level["norm_abs"] = str(int(level["norm_abs"]) + 9)
+
+    problems = _problems_after(edit, 3, 3)
+    assert [msg for msg in problems if "not the norm" in msg] == ["level 1: norm_abs is not the norm of phi^1(1)"]
+
+
+def test_large_points_are_fingerprinted_before_the_exact_norm(monkeypatch):
+    import wreathcert.certificate as certificate
+    from wreathcert import CycInt
+
+    exact = []
+    norm = CycInt.norm
+    honest = build_certificate(3, 5)
+    monkeypatch.setattr(certificate, "_FINGERPRINT_BITS", 0)
+    monkeypatch.setattr(CycInt, "norm", lambda x: exact.append(x) or norm(x))
+    assert verify_certificate(honest)
+    assert len(exact) == 5
+    exact.clear()
+    data = certificate_to_dict(honest)
+    _forge(data["levels"][1], 97, (97, 1), [(97, 1)])
+    problems = certificate_problems(certificate_from_json(json.dumps(data)))
+    assert problems == ["level 2: norm_abs is not the norm of phi^2(1)"]
+    assert len(exact) == 1  # level 1 only: the fingerprint rejected level 2
+
+
+def test_verify_reports_size_cap_as_problem(monkeypatch):
+    import wreathcert.certificate as certificate
+    from wreathcert.errors import SizeLimitError
+
+    def capped(*args, **kwargs):
+        raise SizeLimitError("iterate coefficients exceed the cap")
+        yield
+
+    cert = build_certificate(3, 2)
+    monkeypatch.setattr(certificate, "orbit_points", capped)
+    problems = certificate_problems(cert)
+    assert problems == ["levels cannot be recomputed: iterate coefficients exceed the cap"]
+
+
+def test_verify_rejects_levels_past_the_ring_bound():
+    cert = dataclasses.replace(build_certificate(3, 1), p=103)
+    problems = certificate_problems(cert)
+    assert any("levels cannot be recomputed" in msg and "101" in msg for msg in problems)
+
+
+# A (3, 2) certificate as written before the level record shrank to m,
+# norm_abs, witness and status; the retired keys are ignored.
+PARENT_P3_N2 = (
+    '{"group_order_claimed": "81", "levels": ['
+    '{"factorization": {"cofactor": "1", "cofactor_status": "UNIT", "factors": [["7", "1"]]}, '
+    '"m": 1, "norm_abs": "7", "norm_mod_p2": "7", "p_coprime_check": true, '
+    '"status": "WITNESS_FOUND", "unit_check": true, "witness": ["7", "1"]}, '
+    '{"factorization": {"cofactor": "1", "cofactor_status": "UNIT", "factors": [["43", "1"]]}, '
+    '"m": 2, "norm_abs": "43", "norm_mod_p2": "7", "p_coprime_check": true, '
+    '"status": "WITNESS_FOUND", "unit_check": true, "witness": ["43", "1"]}], '
+    '"n": 2, "note": null, "p": 3, "schema": "wreath-cert/1", "verdict": "MAXIMAL", "wieferich": false}'
+)
+
+
+def test_older_documents_still_verify():
+    cert = certificate_from_json(PARENT_P3_N2)
+    assert cert == build_certificate(3, 2)
+    assert verify_certificate(cert)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_retired_factorization_is_ignored(level):
+    data = json.loads(PARENT_P3_N2)
+    data["levels"][level]["factorization"] = {"factors": [["2", "99"]], "cofactor": "0", "cofactor_status": "?"}
+    assert verify_certificate(certificate_from_json(json.dumps(data)))
 
 
 # -- serialization ---------------------------------------------------------
@@ -224,10 +344,7 @@ def test_json_schema_fields():
     assert data["schema"] == SCHEMA
     assert data["group_order_claimed"] == str(group_order(3, 2))
     level = data["levels"][0]
-    assert level["norm_abs"] == "7"
-    assert level["witness"] == ["7", "1"]
-    assert level["factorization"]["factors"] == [["7", "1"]]
-    assert level["factorization"]["cofactor"] == "1"
+    assert level == {"m": 1, "norm_abs": "7", "witness": ["7", "1"], "status": WITNESS_FOUND}
 
 
 def test_parse_rejects_bad_documents():

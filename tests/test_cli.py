@@ -1,12 +1,13 @@
 """CLI surface: subcommands, exit codes, JSON stability."""
 
 import json
+import math
 import sys
 import time
 
 import pytest
 
-from wreathcert import CycPoly, phi
+from wreathcert import CycInt, CycPoly, expected_residue, is_prime, orbit_points, phi
 from wreathcert.cli import (
     EXIT_CAP,
     EXIT_FAIL,
@@ -171,15 +172,18 @@ def _set_witness_exponent(doc):
     doc["levels"][0]["witness"][1] = str(10**12)
 
 
-def _set_factor_exponent(doc):
-    doc["levels"][0]["factorization"]["factors"][0][1] = str(10**12)
+def _repeat_level_two(doc):
+    doc.update(n=30, levels=[doc["levels"][1]] * 30)
 
 
-# each edit would make verify raise a number to a power taken from the file
+# each edit asks verify for work far beyond what the file honestly holds:
+# a power or an orbit walk sized by numbers taken from the file
 HOSTILE_EDITS = {
     "n": lambda doc: doc.update(n=40),
     "witness exponent": _set_witness_exponent,
-    "factor exponent": _set_factor_exponent,
+    "norm digits": lambda doc: doc["levels"][0].update(norm_abs="7" * 4000),
+    "level copies": _repeat_level_two,
+    "ring prime": lambda doc: doc.update(p=103),
 }
 
 
@@ -195,6 +199,59 @@ def test_verify_rejects_hostile_sizes_quickly(tmp_path, capsys, edit):
     assert time.perf_counter() - started < 1
     assert code == EXIT_FAIL
     assert "verification failed" in err
+
+
+def test_verify_rejects_false_level_past_honest_ones_quickly(tmp_path, capsys):
+    # at p = 61 the exact norm of phi^3(1) has 31,859 digits and takes seconds;
+    # two honest levels must not buy that much work for a false third (the
+    # group order 61^3783 is past the int-str limit, so it is left wrong)
+    norms = [x.norm() for x in orbit_points(61, CycInt.one(61), 2)] + [expected_residue(61) + 61**2]
+    levels = [{"m": m, "norm_abs": str(v), "witness": None, "status": "INDETERMINATE"} for m, v in enumerate(norms, 1)]
+    document = {
+        "schema": "wreath-cert/1",
+        "p": 61,
+        "n": 3,
+        "wieferich": False,
+        "levels": levels,
+        "group_order_claimed": "1",
+        "verdict": "INDETERMINATE",
+        "note": None,
+    }
+    out_path = tmp_path / "cert.json"
+    out_path.write_text(json.dumps(document))
+    started = time.perf_counter()
+    code, _, err = run_cli(["verify", "--in", str(out_path)], capsys)
+    assert time.perf_counter() - started < 1
+    assert code == EXIT_FAIL
+    assert "verification failed: level 3: norm_abs is not the norm of phi^3(1)" in err
+
+
+def test_verify_rejects_huge_p_quickly(tmp_path, capsys):
+    # an odd 13,000-bit p with no prime factor below 2000 would cost seconds
+    # in a primality test; it is refused by size first, and not echoed
+    small = math.prod(q for q in range(3, 2000, 2) if all(q % d for d in range(3, math.isqrt(q) + 1, 2)))
+    p = 2**12999 + 1
+    while math.gcd(p, small) != 1:
+        p += 2
+    out_path = tmp_path / "cert.json"
+    assert run_cli(["certificate", "--p", "3", "--max-n", "2", "--out", str(out_path)], capsys)[0] == EXIT_OK
+    document = json.loads(out_path.read_text())
+    document["p"] = p
+    out_path.write_text(json.dumps(document))
+    started = time.perf_counter()
+    code, _, err = run_cli(["verify", "--in", str(out_path)], capsys)
+    assert time.perf_counter() - started < 0.1
+    assert code == EXIT_FAIL
+    assert "13000-bit" in err and len(err) < 500
+
+
+def test_wieferich_check_refuses_uncertain_primes(capsys):
+    p = 10**29 + 1
+    while not is_prime(p):
+        p += 2
+    code, _, err = run_cli(["wieferich", "--check", str(p)], capsys)
+    assert code == EXIT_USAGE
+    assert "deterministic primality range" in err
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-str digit limit")

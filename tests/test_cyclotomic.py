@@ -13,6 +13,7 @@ from wreathcert import (
     MAX_RING_PRIME,
     CycInt,
     RingMismatchError,
+    is_prime,
     one_minus_zeta,
     require_odd_prime,
     require_ring_prime,
@@ -71,6 +72,12 @@ def test_prime_type_checked():
         require_odd_prime(3.0)
 
 
+def test_uncertain_primes_rejected_by_size():
+    # 2^89 - 1 is prime, but only probabilistically testable here
+    with pytest.raises(ValueError, match="a 89-bit integer is past the deterministic primality range"):
+        require_odd_prime(2**89 - 1)
+
+
 def test_roundtrip_is_identity():
     rng = random.Random(101)
     for p in (3, 5, 11):
@@ -104,6 +111,18 @@ def test_mul_examples():
         a = rand_elem(rng, p)
         assert a * CycInt.one(p) == a
         assert a * CycInt.zero(p) == CycInt.zero(p)
+
+
+def test_pow_matches_repeated_multiply():
+    rng = random.Random(23)
+    for p, top in ((3, 9), (5, 7), (11, 13), (101, 5)):
+        a = rand_elem(rng, p)
+        want = CycInt.one(p)
+        for e in range(top):
+            assert a**e == want
+            want = want * a
+    with pytest.raises(ValueError):
+        CycInt.one(3) ** -1
 
 
 def test_int_operands():
@@ -204,6 +223,26 @@ def test_norm_deep_orbit_point_p3():
     x = oracle.orbit_of_one(8)[-1]  # phi^8(1), about 1900 bits per coefficient
     n = CycInt(3, x).norm()
     assert n == oracle.norm(x) == resultant_oracle.norm(x, 3)
+
+
+def primes_one_mod(p, start, count):
+    """The first count primes q = 1 mod 2p above start."""
+    found, k = [], start // (2 * p) + 1
+    while len(found) < count:
+        if is_prime(2 * p * k + 1):
+            found.append(2 * p * k + 1)
+        k += 1
+    return found
+
+
+def test_norm_mod_matches_norm():
+    rng = random.Random(41)
+    for p in (3, 5, 7, 11, 13, 31, 101):
+        for q in primes_one_mod(p, 0, 2) + primes_one_mod(p, 2**61, 1):
+            x = rand_elem(rng, p)
+            assert x.norm_mod(q) == x.norm() % q
+    with pytest.raises(ValueError):
+        CycInt.one(5).norm_mod(13)  # 13 != 1 mod 5
 
 
 def test_norm_rejects_irrational_product(monkeypatch):

@@ -21,6 +21,7 @@ from wreathcert import (
     phi,
     zeta,
 )
+from wreathcert.dynamics import phi_at
 
 
 def test_phi_p3_coefficients():
@@ -48,6 +49,16 @@ def test_eval_examples():
     assert f(CycInt.zero(3)) == one_minus_zeta(3)
     empty = CycPoly(3, ())
     assert empty(CycInt(3, (5, 7))) == CycInt.zero(3)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 61, 101])
+def test_phi_at_matches_horner(p):
+    f = phi(p)
+    rng = random.Random(p)
+    points = [CycInt(p, [rng.randint(-99, 99) for _ in range(p - 1)]) for _ in range(2)]
+    points += list(orbit_points(p, CycInt.one(p), 3 if p < 10 else 2 if p < 30 else 1))
+    for x in points:
+        assert phi_at(x) == f(x)
 
 
 def test_eval_ring_mismatch():

@@ -40,6 +40,28 @@ def test_is_prime_matches_sieve():
         assert is_prime(n) == bool(sieve[n]), n
 
 
+# psi_k, the least strong pseudoprime to the first k prime bases, for the
+# k = 1..12 where it changes; the last one passes all twelve bases 2..37
+STRONG_PSEUDOPRIMES = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,  # 399165290221 * 798330580441
+)
+
+
+@pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert n < DETERMINISTIC_LIMIT
+    assert not is_prime(n)
+    assert not is_prime_certain(n)
+
+
 def test_is_prime_above_deterministic_range():
     assert M89 > DETERMINISTIC_LIMIT
     assert is_prime(M89)
@@ -125,6 +147,15 @@ def test_factor_pending_prime_cofactor():
     f = factor(2 * M89, FactorConfig(trial_bound=100, rho_budget=1000, rho_seed=1))
     assert f.factors == ((2, 1),)
     assert f.cofactor == M89
+    assert f.cofactor_status == PRIME_PENDING
+
+
+def test_factor_orbit_norm_pending_cofactor():
+    # |N(phi^5(1))| at p = 3: trial division finds 139, and the remaining
+    # 136-bit cofactor passes only the probabilistic test
+    f = factor(8050183582883899128838114506334853717591107)
+    assert f.factors == ((139, 1),)
+    assert f.cofactor == 57914989804920137617540392131905422428713
     assert f.cofactor_status == PRIME_PENDING
 
 
