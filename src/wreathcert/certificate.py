@@ -40,10 +40,10 @@ INDETERMINATE = "INDETERMINATE"
 MAXIMAL = "MAXIMAL"
 
 # Past this many bits in (p - 1) * (coefficient bits of the point), an exact
-# norm costs from milliseconds up to minutes (p = 101, level 3), and a file
-# may ask for one level past the norms it honestly holds; a fingerprint
-# modulo a random prime, which the file cannot predict, rejects a false norm
-# before the exact one is computed.
+# norm costs from milliseconds up to about two minutes (p = 101, level 3),
+# and a file may ask for one level past the norms it honestly holds; a
+# fingerprint modulo a random prime, which the file cannot predict, rejects
+# a false norm before the exact one is computed.
 _FINGERPRINT_BITS = 4096
 
 WIEFERICH_NOTE = (

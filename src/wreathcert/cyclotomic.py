@@ -13,6 +13,11 @@ p - 1 reaches N(x) = y_(p-1) in O(log p) ring multiplies.  The
 multi-modular resultant in tests/resultant_oracle.py is the independent
 algorithm the tests compare against.
 
+Ring multiply convolves the two coefficient vectors by Karatsuba's
+recursion (three half-length products in place of four) down to a short
+cutoff, where the schoolbook loop takes over, and then wraps exponents
+through zeta^p = 1.
+
 The prime ideal generated by (1 - zeta) is the unique prime above p
 (p factors as its (p-1)-st power).  Division by (1 - zeta) is exact
 division by prefix sums: x = (1 - zeta) y with s = y_(p-2) reads
@@ -28,6 +33,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import accumulate
+from operator import add
 
 from .errors import RingMismatchError
 from .factoring import DETERMINISTIC_LIMIT, is_prime
@@ -36,6 +42,10 @@ from .factoring import DETERMINISTIC_LIMIT, is_prime
 # sizes stay sane.  Pure-integer checks (Wieferich etc.) do not go
 # through this bound.
 MAX_RING_PRIME = 101
+
+# Vectors of at most this many coefficients are multiplied by the schoolbook
+# loop, longer ones split by Karatsuba; every p <= 13 stays on the loop.
+_KARATSUBA_CUTOFF = 12
 
 
 @lru_cache(maxsize=None)
@@ -87,6 +97,14 @@ class CycInt:
         raw.extend([0] * (p - len(raw)))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", _fold(raw, p))
+
+    @classmethod
+    def _of(cls, p: int, coeffs: tuple) -> CycInt:
+        """Wrap a reduced tuple of p - 1 ints from ring arithmetic, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("CycInt is immutable")
@@ -148,7 +166,7 @@ class CycInt:
                 raise RingMismatchError(f"cannot combine Z[zeta_{self.p}] with Z[zeta_{other.p}]")
             return other
         if isinstance(other, int) and not isinstance(other, bool):
-            return CycInt.from_int(self.p, other)
+            return CycInt._of(self.p, (other,) + (0,) * (self.p - 2))
         return None
 
     # -- ring operations ---------------------------------------------
@@ -157,7 +175,7 @@ class CycInt:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycInt(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycInt._of(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
@@ -165,7 +183,7 @@ class CycInt:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycInt(self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycInt._of(self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -174,13 +192,13 @@ class CycInt:
         return other - self
 
     def __neg__(self):
-        return CycInt(self.p, tuple(-a for a in self.coeffs))
+        return CycInt._of(self.p, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycInt(self.p, _mul(self.coeffs, other.coeffs, self.p))
+        return CycInt._of(self.p, _mul(self.coeffs, other.coeffs, self.p))
 
     __rmul__ = __mul__
 
@@ -191,13 +209,13 @@ class CycInt:
         if e < 0:
             raise ValueError("ring elements have no negative powers")
         if e == 0:
-            return CycInt.one(self.p)
+            return self._coerce(1)
         p, acc = self.p, self.coeffs
         for bit in bin(e)[3:]:
             acc = _mul(acc, acc, p)
             if bit == "1":
                 acc = _mul(acc, self.coeffs, p)
-        return CycInt(p, acc)
+        return CycInt._of(p, acc)
 
     # -- Galois action ------------------------------------------------
 
@@ -206,7 +224,7 @@ class CycInt:
         k %= self.p
         if k == 0:
             raise ValueError("automorphism index must be nonzero mod p")
-        return CycInt(self.p, _conj(self.coeffs, k, self.p))
+        return CycInt._of(self.p, _conj(self.coeffs, k, self.p))
 
     # -- norm ----------------------------------------------------------
 
@@ -269,7 +287,7 @@ class CycInt:
         if r:
             return None
         prefixes = accumulate(self.coeffs)
-        return CycInt(self.p, tuple(x - i * s for i, x in enumerate(prefixes, 1)))
+        return CycInt._of(self.p, tuple(x - i * s for i, x in enumerate(prefixes, 1)))
 
     def pi_valuation(self) -> int | float:
         """Exact (1 - zeta)-adic valuation; math.inf for zero."""
@@ -318,16 +336,39 @@ def _fold(raw, p: int) -> tuple:
 
 def _mul(a, b, p: int) -> tuple:
     """Product of two reduced coefficient tuples."""
-    prod = [0] * (2 * p - 3)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] += ai * bj
+    prod = _convolve(a, b)
     # exponents >= p wrap around through zeta^p = 1
     for e in range(p, 2 * p - 3):
         prod[e - p] += prod[e]
     return _fold(prod, p)
+
+
+def _convolve(a, b) -> list:
+    """Coefficients of the product of two polynomials given as equal-length sequences.
+
+    Karatsuba: with a = a0 + x^m a1 and b = b0 + x^m b1, the middle term
+    a0 b1 + a1 b0 is (a0 + a1)(b0 + b1) - a0 b0 - a1 b1.
+    """
+    n = len(a)
+    if n <= _KARATSUBA_CUTOFF:
+        prod = [0] * (2 * n - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        prod[i + j] += ai * bj
+        return prod
+    m = n // 2  # a0 holds m coefficients, a1 the other n - m >= m
+    a0, a1, b0, b1 = a[:m], a[m:], b[:m], b[m:]
+    low = _convolve(a0, b0)
+    high = _convolve(a1, b1)
+    mid = _convolve([*map(add, a0, a1), *a1[m:]], [*map(add, b0, b1), *b1[m:]])
+    prod = low + [0] + high
+    for i, c in enumerate(mid):
+        prod[m + i] += c - high[i]
+    for i, c in enumerate(low):
+        prod[m + i] -= c
+    return prod
 
 
 def _conj(a, k: int, p: int) -> tuple:

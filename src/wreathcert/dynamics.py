@@ -188,7 +188,7 @@ def phi_at(x: CycInt) -> CycInt:
     Equal to phi(p)(x), the Horner evaluation of the expanded phi, in
     O(log p) ring multiplies instead of p.
     """
-    return (x - 1) ** x.p + CycInt(x.p, (2, -1))
+    return (x - 1) ** x.p + CycInt._of(x.p, (2, -1) + (0,) * (x.p - 3))
 
 
 def _coeff_bits(x: CycInt) -> int:

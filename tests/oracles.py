@@ -7,6 +7,8 @@ Each one answers a question the library answers another way:
   them off phi's own coefficients and values by induction;
 * the group order by the recursion |W_1| = p, |W_k| = |W_(k-1)|^p * p,
   where the library uses the closed formula p^((p^n - 1)/(p - 1));
+* ring multiply by the schoolbook convolution of the coefficient
+  vectors, where the library splits long vectors by Karatsuba;
 * division by (1 - zeta) through the complement product
   prod_{k=2}^{p-1} (1 - zeta^k), whose product with (1 - zeta) is p,
   where the library divides by prefix sums;
@@ -74,6 +76,24 @@ def group_order_recursive(p: int, n: int) -> int:
     for _ in range(n - 1):
         order = order**p * p
     return order
+
+
+# -- ring multiply ---------------------------------------------------------
+
+
+def mul_schoolbook(a, b, p: int) -> tuple:
+    """Product of two reduced coefficient tuples, term by term."""
+    prod = [0] * (2 * p - 3)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] += ai * bj
+    # exponents >= p wrap around through zeta^p = 1, zeta^(p-1) folds back
+    for e in range(p, 2 * p - 3):
+        prod[e - p] += prod[e]
+    top = prod[p - 1]
+    return tuple(c - top for c in prod[: p - 1])
 
 
 # -- the prime above p -----------------------------------------------------

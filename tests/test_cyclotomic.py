@@ -115,7 +115,7 @@ def test_mul_examples():
 
 def test_pow_matches_repeated_multiply():
     rng = random.Random(23)
-    for p, top in ((3, 9), (5, 7), (11, 13), (101, 5)):
+    for p, top in ((3, 9), (5, 7), (11, 13), (61, 4), (101, 5)):
         a = rand_elem(rng, p)
         want = CycInt.one(p)
         for e in range(top):
@@ -123,6 +123,48 @@ def test_pow_matches_repeated_multiply():
             want = want * a
     with pytest.raises(ValueError):
         CycInt.one(3) ** -1
+
+
+def mul_inputs(rng, p):
+    """Pairs of coefficient tuples of every shape the multiply must survive."""
+    n = p - 1
+    zero, one = (0,) * n, (1,) + (0,) * (n - 1)
+
+    def dense(bits):
+        return tuple(rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(n))
+
+    def sparse(bits):
+        return tuple(rng.getrandbits(bits) if rng.random() < 0.15 else 0 for _ in range(n))
+
+    def negative(bits):
+        return tuple(-rng.getrandbits(bits) - 1 for _ in range(n))
+
+    yield dense(20), dense(20)
+    yield sparse(30), dense(30)
+    yield sparse(30), sparse(30)
+    yield zero, dense(30)
+    yield dense(30), zero
+    yield one, dense(30)
+    yield dense(30), one
+    yield negative(40), negative(40)
+    yield negative(40), dense(40)
+    yield dense(3000), dense(3000)
+    yield negative(3000), sparse(3000)
+    yield dense(3000), dense(2)
+    yield (1,) * n, dense(3000)
+    a = dense(64)
+    yield a, a
+
+
+@pytest.mark.parametrize("p", [13, 17, 19, 31, 61, 101])
+def test_mul_matches_schoolbook_across_the_cutoff(p):
+    # p - 1 = 12 is the cutoff itself, 16 and 18 the first splits, and
+    # 30 splits into odd halves of 15 = 7 + 8
+    rng = random.Random(p)
+    for a, b in mul_inputs(rng, p):
+        want = oracles.mul_schoolbook(a, b, p)
+        assert cyclotomic._mul(a, b, p) == want
+        assert CycInt(p, a) * CycInt(p, b) == CycInt(p, want)
 
 
 def test_int_operands():
