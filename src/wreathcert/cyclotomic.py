@@ -11,7 +11,8 @@ a primitive root g mod p, the partial products y_k = prod_{i<k}
 sigma^i(x) satisfy y_(a+b) = y_a * sigma^a(y_b), so walking the bits of
 p - 1 reaches N(x) = y_(p-1) in O(log p) ring multiplies.  The
 multi-modular resultant in tests/resultant_oracle.py is the independent
-algorithm the tests compare against.
+algorithm the tests compare against.  Given a modulus m, the same chain
+runs in (Z/m)[zeta] and returns N(x) mod m.
 
 Ring multiply convolves the two coefficient vectors by Karatsuba's
 recursion (three half-length products in place of four) down to a short
@@ -228,7 +229,7 @@ class CycInt:
 
     # -- norm ----------------------------------------------------------
 
-    def norm(self) -> int:
+    def norm(self, modulus: int | None = None) -> int:
         """Absolute norm: the product of all p - 1 Galois conjugates.
 
         sigma^i maps zeta to zeta^(g^i) for a primitive root g mod p.  The
@@ -239,15 +240,33 @@ class CycInt:
         to a rational integer; anything else indicates an arithmetic bug.
         The tests check it against the independent resultant in
         tests/resultant_oracle.py.
+
+        With a modulus m >= 1 the result is N(x) mod m, in [0, m), and the
+        same chain runs in (Z/m)[zeta]: x and every product are reduced
+        mod m.  That is exact, because reduction mod m is a ring map
+        Z[zeta] -> (Z/m)[zeta] that commutes with every zeta -> zeta^k,
+        so it carries the orbit product to N(x) mod m; the coefficients
+        stay below m instead of growing to the size of the norm.
         """
         p, x = self.p, self.coeffs
+        if modulus is not None:
+            if not isinstance(modulus, int) or isinstance(modulus, bool):
+                raise TypeError(f"modulus must be an int, got {type(modulus).__name__}")
+            if modulus < 1:
+                raise ValueError(f"modulus must be positive, got {modulus}")
+            x = tuple(c % modulus for c in x)
+
+        def times(a, b):
+            prod = _mul(a, b, p)
+            return prod if modulus is None else tuple(c % modulus for c in prod)
+
         g = _primitive_root(p)
         y, k = x, 1
         for bit in bin(p - 1)[3:]:
-            y = _mul(y, _conj(y, pow(g, k, p), p), p)
+            y = times(y, _conj(y, pow(g, k, p), p))
             k *= 2
             if bit == "1":
-                y = _mul(y, _conj(x, pow(g, k, p), p), p)
+                y = times(y, _conj(x, pow(g, k, p), p))
                 k += 1
         if any(y[1:]):
             raise AssertionError(f"Galois orbit product is not rational: {CycInt(p, y)!r}")

@@ -1,5 +1,8 @@
 """Norm congruences, Wieferich checks, p-th powers mod p^2."""
 
+import math
+import random
+
 import pytest
 
 import zeta3_oracle as oracle
@@ -16,7 +19,8 @@ from wreathcert import (
     wieferich_check,
     wieferich_scan,
 )
-from wreathcert.congruence import ABORTED, MAX_SCAN_LIMIT, PASS
+from wreathcert.congruence import ABORTED, MAX_SCAN_LIMIT, PASS, _odd_primes_up_to
+from wreathcert.dynamics import orbit_points, phi_at
 
 
 def test_expected_residues():
@@ -88,6 +92,27 @@ def test_general_congruence_hand_cases():
     assert f(x).norm() % 9 == 7
 
 
+def test_general_congruence_residues_match_exact_norms():
+    # the library reduces the norm mod p^2 as it goes; the oracle reduces the
+    # full integer norm of the same points, regenerated from the same seed
+    for p, trials in ((3, 20), (5, 20), (31, 2)):
+        report = general_congruence_check(p, trials, 10**6, seed=7)
+        rng = random.Random(7)
+        exact = []
+        for _ in range(trials):
+            r = CycInt(p, [rng.randint(-(10**6), 10**6) for _ in range(p - 1)])
+            x = CycInt.one(p) + one_minus_zeta(p) * r
+            exact.append(phi_at(x).norm() % p**2)
+        assert [item.residue for item in report.items] == exact
+
+
+def test_norm_congruence_residues_match_exact_norms():
+    for p, n in ((3, 8), (5, 4), (7, 3)):
+        report = norm_congruence_check(p, n)
+        exact = [x.norm() % p**2 for x in orbit_points(p, CycInt.one(p), n)]
+        assert [item.residue for item in report.items] == exact
+
+
 def test_general_congruence_validates():
     with pytest.raises(ValueError):
         general_congruence_check(3, 0, 10, seed=1)
@@ -111,6 +136,12 @@ def test_wieferich_rejects_non_primes():
         wieferich_check(4)
     with pytest.raises(ValueError):
         wieferich_check(2)
+
+
+def test_odd_primes_match_trial_division():
+    for limit in (3, 4, 5, 10**4):
+        want = [q for q in range(3, limit + 1) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+        assert _odd_primes_up_to(limit) == want
 
 
 def test_wieferich_scan_small():

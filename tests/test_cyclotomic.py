@@ -292,6 +292,26 @@ def test_norm_rejects_irrational_product(monkeypatch):
     monkeypatch.setattr(cyclotomic, "_conj", lambda a, k, p: a)
     with pytest.raises(AssertionError, match="not rational"):
         one_minus_zeta(3).norm()
+    # reduced mod 9 it is 6 zeta, still not rational
+    with pytest.raises(AssertionError, match="not rational"):
+        one_minus_zeta(3).norm(9)
+
+
+def test_norm_modulus_matches_exact_norm():
+    # p^2, a composite, the 61-bit Mersenne prime 2^61 - 1, and 1
+    rng = random.Random(53)
+    for p, cases in ((3, 40), (5, 40), (7, 20), (11, 20), (13, 10), (31, 4), (61, 2), (101, 1)):
+        for _ in range(cases):
+            x = rand_elem(rng, p)
+            exact = x.norm()
+            for m in (p * p, 2**40 * 3**5 * 7, 2**61 - 1, 1):
+                assert x.norm(m) == exact % m
+
+
+@pytest.mark.parametrize("bad", [0, -9, True, 9.0, "9"])
+def test_norm_modulus_rejects_bad_values(bad):
+    with pytest.raises((ValueError, TypeError)):
+        one_minus_zeta(5).norm(bad)
 
 
 def test_norm_multiplicative():
