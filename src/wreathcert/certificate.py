@@ -268,10 +268,10 @@ def _norm_differs(x: CycInt, claimed: int) -> bool:
     if (p - 1) * max(c.bit_length() for c in x.coeffs) > _FINGERPRINT_BITS:
         rng = random.SystemRandom()
         while True:
-            q = 2 * p * rng.getrandbits(60) + 1
+            q = rng.getrandbits(61) | 1 << 60 | 1
             if is_prime_certain(q):
                 break
-        if x.norm_mod(q) != claimed % q:
+        if x.norm(q) != claimed % q:
             return True
     return x.norm() != claimed
 

@@ -272,27 +272,6 @@ class CycInt:
             raise AssertionError(f"Galois orbit product is not rational: {CycInt(p, y)!r}")
         return y[0]
 
-    def norm_mod(self, q: int) -> int:
-        """N(self) mod q, for a prime q = 1 mod p.
-
-        F_q then holds p - 1 primitive p-th roots of unity w^k, the images
-        of zeta under the p - 1 ring maps Z[zeta] -> F_q, and N(self) =
-        prod_k self(w^k) mod q: O(p^2) word-sized steps, however large the
-        coefficients.
-        """
-        p = self.p
-        if q % p != 1:
-            raise ValueError(f"need a prime q = 1 mod {p}, got {q}")
-        w = next(w for w in (pow(a, (q - 1) // p, q) for a in range(2, q)) if w != 1)
-        coeffs = [c % q for c in reversed(self.coeffs)]
-        result = 1
-        for k in range(1, p):
-            root, value = pow(w, k, q), 0
-            for c in coeffs:
-                value = (value * root + c) % q
-            result = result * value % q
-        return result
-
     # -- the prime above p ---------------------------------------------
 
     def divide_by_pi(self) -> CycInt | None:
