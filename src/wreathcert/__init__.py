@@ -14,7 +14,6 @@ from .certificate import (
     certificate_problems,
     certificate_to_json,
     group_order,
-    level_witness,
     verify_certificate,
 )
 from .congruence import (
@@ -38,8 +37,8 @@ from .cyclotomic import (
     zeta,
 )
 from .dynamics import (
-    DEFAULT_MAX_COEFF_BITS,
-    DEFAULT_MAX_POLY_COEFFS,
+    MAX_COEFF_BITS,
+    MAX_POLY_COEFFS,
     CycPoly,
     StructureReport,
     eisenstein_check,
@@ -52,10 +51,7 @@ from .dynamics import (
 )
 from .errors import RingMismatchError, SizeLimitError
 from .factoring import (
-    COMPOSITE_UNFACTORED,
     DETERMINISTIC_LIMIT,
-    PRIME_PENDING,
-    UNIT,
     FactorConfig,
     Factorization,
     factor,

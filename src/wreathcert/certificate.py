@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .congruence import expected_residue, wieferich_check
 from .cyclotomic import CycInt, require_odd_prime, require_ring_prime
-from .dynamics import DEFAULT_MAX_COEFF_BITS, iterate_point, orbit_points
+from .dynamics import orbit_points
 from .errors import SizeLimitError
 from .factoring import DETERMINISTIC_LIMIT, FactorConfig, factor, is_prime_certain
 
@@ -113,28 +113,7 @@ def _level_record(p: int, m: int, point: CycInt, cfg: FactorConfig) -> LevelReco
     return LevelRecord(m=m, norm_abs=norm, witness=witness, status=WITNESS_FOUND if witness else INDETERMINATE)
 
 
-def level_witness(
-    p: int,
-    m: int,
-    cfg: FactorConfig = FactorConfig(),
-    *,
-    max_coeff_bits: int = DEFAULT_MAX_COEFF_BITS,
-) -> LevelRecord:
-    """Witness search at a single level m."""
-    require_ring_prime(p)
-    if m < 1:
-        raise ValueError("need m >= 1")
-    point = iterate_point(p, m, CycInt.one(p), max_coeff_bits=max_coeff_bits)
-    return _level_record(p, m, point, cfg)
-
-
-def build_certificate(
-    p: int,
-    n: int,
-    cfg: FactorConfig = FactorConfig(),
-    *,
-    max_coeff_bits: int = DEFAULT_MAX_COEFF_BITS,
-) -> MaximalityCertificate:
+def build_certificate(p: int, n: int, cfg: FactorConfig = FactorConfig()) -> MaximalityCertificate:
     """Assemble a certificate for levels 1..n.
 
     For a Wieferich p no levels are computed (the proof route is closed
@@ -157,7 +136,7 @@ def build_certificate(
         )
     require_ring_prime(p)
     levels = []
-    for m, point in enumerate(orbit_points(p, CycInt.one(p), n, max_coeff_bits=max_coeff_bits), 1):
+    for m, point in enumerate(orbit_points(p, CycInt.one(p), n), 1):
         levels.append(_level_record(p, m, point, cfg))
     verdict = MAXIMAL if all(rec.status == WITNESS_FOUND for rec in levels) else INDETERMINATE
     return MaximalityCertificate(

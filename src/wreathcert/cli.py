@@ -23,7 +23,7 @@ from .certificate import (
     certificate_problems,
     certificate_to_json,
 )
-from .congruence import ABORTED, norm_congruence_check, require_scan_limit, wieferich_check, wieferich_scan
+from .congruence import ABORTED, FAIL, PASS, norm_congruence_check, require_scan_limit, wieferich_check, wieferich_scan
 from .cyclotomic import require_odd_prime, require_ring_prime
 from .dynamics import eisenstein_check, fixed_point_check, orbit_congruence_check
 from .errors import SizeLimitError
@@ -74,6 +74,7 @@ def _emit_json(obj) -> None:
 
 def cmd_norm_congruence(args) -> int:
     report = norm_congruence_check(args.p, args.max_n)
+    statuses = {item.status for item in report.items}
     if args.json:
         _emit_json(asdict(report))
     else:
@@ -84,8 +85,9 @@ def cmd_norm_congruence(args) -> int:
             if item.note:
                 line += f"  ({item.note})"
             print(line)
-        print(f"overall: {'PASS' if report.passed else 'FAIL'}")
-    if any(item.status == ABORTED for item in report.items):
+        # a level that failed outranks a later one that hit the cap
+        print(f"overall: {FAIL if FAIL in statuses else ABORTED if ABORTED in statuses else PASS}")
+    if ABORTED in statuses:
         return EXIT_CAP
     return EXIT_OK if report.passed else EXIT_FAIL
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .cyclotomic import CycInt, one_minus_zeta, require_odd_prime, require_ring_prime
-from .dynamics import DEFAULT_MAX_COEFF_BITS, orbit_points, phi_at
+from .dynamics import orbit_points, phi_at
 from .errors import SizeLimitError
 
 PASS = "PASS"
@@ -61,16 +61,11 @@ class CongruenceReport:
     passed: bool
 
 
-def norm_congruence_check(
-    p: int,
-    n_max: int,
-    *,
-    max_coeff_bits: int = DEFAULT_MAX_COEFF_BITS,
-) -> CongruenceReport:
+def norm_congruence_check(p: int, n_max: int) -> CongruenceReport:
     """Check norm(phi^n(1)) mod p^2 for n = 1..n_max.
 
-    A size-cap abort is recorded on the level that hit it; later levels
-    are skipped rather than guessed at.
+    A level whose orbit point would pass dynamics.MAX_COEFF_BITS is
+    recorded as ABORTED; later levels are skipped rather than guessed at.
     """
     require_ring_prime(p)
     if n_max < 1:
@@ -78,7 +73,7 @@ def norm_congruence_check(
     want = expected_residue(p)
     p2 = p * p
     items: list[CongruenceItem] = []
-    points = orbit_points(p, CycInt.one(p), n_max, max_coeff_bits=max_coeff_bits)
+    points = orbit_points(p, CycInt.one(p), n_max)
     n = 0
     while n < n_max:
         n += 1

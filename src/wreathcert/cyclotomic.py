@@ -145,22 +145,6 @@ class CycInt:
     def __repr__(self):
         return f"CycInt({self.p}, {list(self.coeffs)})"
 
-    def __str__(self):
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                body = str(abs(c))
-            else:
-                power = "zeta" if i == 1 else f"zeta^{i}"
-                body = power if abs(c) == 1 else f"{abs(c)}*{power}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts) if parts else "0"
-
     def _coerce(self, other):
         if isinstance(other, CycInt):
             if other.p != self.p:

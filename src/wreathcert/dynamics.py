@@ -6,8 +6,8 @@ multiplies per step where Horner's rule on the expanded phi takes p.
 The expanded n-th iterate is only ever built when explicitly requested,
 because its degree is p^n while a point's coefficients merely grow
 p-fold per step.
-Both directions carry explicit size caps (SizeLimitError) since growth
-is doubly exponential in n.
+Both directions carry fixed size caps, MAX_COEFF_BITS and
+MAX_POLY_COEFFS (SizeLimitError), since growth is doubly exponential in n.
 
 The structural checks read phi's own coefficients and values and hold
 for every n by a one-step induction, so their cost does not depend on n:
@@ -36,8 +36,8 @@ from typing import Iterator
 from .cyclotomic import CycInt, one_minus_zeta, require_ring_prime
 from .errors import RingMismatchError, SizeLimitError
 
-DEFAULT_MAX_COEFF_BITS = 1 << 20
-DEFAULT_MAX_POLY_COEFFS = 10_000
+MAX_COEFF_BITS = 1 << 20
+MAX_POLY_COEFFS = 10_000
 
 
 class CycPoly:
@@ -195,18 +195,12 @@ def _coeff_bits(x: CycInt) -> int:
     return max((c.bit_length() for c in x.coeffs), default=0)
 
 
-def orbit_points(
-    p: int,
-    x0: CycInt,
-    n: int,
-    *,
-    max_coeff_bits: int = DEFAULT_MAX_COEFF_BITS,
-) -> Iterator[CycInt]:
+def orbit_points(p: int, x0: CycInt, n: int) -> Iterator[CycInt]:
     """Yield phi^k(x0) for k = 1..n, guarding coefficient growth.
 
     Raises SizeLimitError before a step whose result would clearly
-    exceed the cap (one step multiplies bit sizes by about p), or after
-    a step that did.
+    exceed MAX_COEFF_BITS (one step multiplies bit sizes by about p), or
+    after a step that did.
     """
     require_ring_prime(p)
     if n < 1:
@@ -215,44 +209,33 @@ def orbit_points(
         raise RingMismatchError(f"start point lives in Z[zeta_{x0.p}], expected p={p}")
     x = x0
     for _ in range(n):
-        if (_coeff_bits(x) + 8) * p > max_coeff_bits:
+        if (_coeff_bits(x) + 8) * p > MAX_COEFF_BITS:
             raise SizeLimitError(
                 f"iterate coefficients near {_coeff_bits(x)} bits; next step would exceed "
-                f"the {max_coeff_bits}-bit cap"
+                f"the {MAX_COEFF_BITS}-bit cap"
             )
         x = phi_at(x)
-        if _coeff_bits(x) > max_coeff_bits:
-            raise SizeLimitError(f"iterate coefficients exceed the {max_coeff_bits}-bit cap")
+        if _coeff_bits(x) > MAX_COEFF_BITS:
+            raise SizeLimitError(f"iterate coefficients exceed the {MAX_COEFF_BITS}-bit cap")
         yield x
 
 
-def iterate_point(
-    p: int,
-    n: int,
-    x0: CycInt,
-    *,
-    max_coeff_bits: int = DEFAULT_MAX_COEFF_BITS,
-) -> CycInt:
+def iterate_point(p: int, n: int, x0: CycInt) -> CycInt:
     """phi^n(x0) by repeated evaluation (never by expanding phi^n)."""
     x = x0
-    for x in orbit_points(p, x0, n, max_coeff_bits=max_coeff_bits):
+    for x in orbit_points(p, x0, n):
         pass
     return x
 
 
-def iterate_poly(
-    p: int,
-    n: int,
-    *,
-    max_coeffs: int = DEFAULT_MAX_POLY_COEFFS,
-) -> CycPoly:
+def iterate_poly(p: int, n: int) -> CycPoly:
     """The fully expanded n-th iterate of phi, of degree p^n."""
     require_ring_prime(p)
     if n < 1:
         raise ValueError("need n >= 1")
     # p^n >= 2^n, so a large n is refused before p^n is formed
-    if n >= max_coeffs.bit_length() or p**n + 1 > max_coeffs:
-        raise SizeLimitError(f"degree p^n = {p}^{n} needs more than the {max_coeffs}-coefficient cap")
+    if n >= MAX_POLY_COEFFS.bit_length() or p**n + 1 > MAX_POLY_COEFFS:
+        raise SizeLimitError(f"degree p^n = {p}^{n} needs more than the {MAX_POLY_COEFFS}-coefficient cap")
     tail = CycInt(p, (2, -1))  # 2 - zeta
     g = phi(p)
     for _ in range(n - 1):

@@ -8,10 +8,9 @@ formally probabilistic.
 
 factor() runs trial division up to a configured bound, then a seeded
 Brent-variant Pollard rho within an iteration budget.  Results are
-honest when incomplete: the unfactored part is returned as a cofactor
-tagged PRIME_PENDING (passes only the probabilistic test, above the
-deterministic range) or COMPOSITE_UNFACTORED (proved composite, budget
-exhausted before it split).
+honest when incomplete: whatever is left unfactored (probable primes
+above the deterministic range, composites the budget did not split) is
+returned as one cofactor.
 """
 
 from __future__ import annotations
@@ -31,11 +30,6 @@ _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
 )
 
-# Cofactor statuses.
-UNIT = "UNIT"
-PRIME_PENDING = "PRIME_PENDING"
-COMPOSITE_UNFACTORED = "COMPOSITE_UNFACTORED"
-
 
 @dataclass(frozen=True)
 class FactorConfig:
@@ -52,16 +46,12 @@ class Factorization:
 
     n = prod(q**e for q, e in factors) * cofactor, exactly.  Every
     listed prime passed a deterministic primality check.  cofactor is 1
-    iff the factorization is complete (cofactor_status UNIT).
+    iff the factorization is complete.
     """
 
     n: int
     factors: tuple[tuple[int, int], ...]
     cofactor: int
-    cofactor_status: str
-
-    def is_complete(self) -> bool:
-        return self.cofactor == 1
 
 
 def _mr_composite(n: int, a: int) -> bool:
@@ -246,8 +236,7 @@ def factor(n: int, cfg: FactorConfig = FactorConfig()) -> Factorization:
     rng = random.Random(cfg.rho_seed)
     budget = cfg.rho_budget
     pending = [m] if m > 1 else []
-    prime_pending: list[int] = []
-    stuck_composites: list[int] = []
+    leftover: list[int] = []  # probable primes past DETERMINISTIC_LIMIT, composites rho did not split
     while pending:
         c = pending.pop()
         if c == 1:
@@ -256,30 +245,23 @@ def factor(n: int, cfg: FactorConfig = FactorConfig()) -> Factorization:
             if c < DETERMINISTIC_LIMIT:
                 counts[c] = counts.get(c, 0) + 1
             else:
-                prime_pending.append(c)
+                leftover.append(c)
             continue
         d = None
         if budget > 0:
             d, used = _brent_rho(c, rng, budget)
             budget -= used
         if d is None:
-            stuck_composites.append(c)
+            leftover.append(c)
         else:
             pending.append(d)
             pending.append(c // d)
 
-    cofactor = math.prod(prime_pending + stuck_composites) if (prime_pending or stuck_composites) else 1
-    if cofactor == 1:
-        status = UNIT
-    elif len(prime_pending) == 1 and not stuck_composites:
-        status = PRIME_PENDING
-    else:
-        status = COMPOSITE_UNFACTORED
-
+    cofactor = math.prod(leftover)
     factors = tuple(sorted(counts.items()))
     check = cofactor
     for q, e in factors:
         check *= q**e
     if check != abs(n):
         raise AssertionError("factorization does not reconstruct its input")
-    return Factorization(abs(n), factors, cofactor, status)
+    return Factorization(abs(n), factors, cofactor)

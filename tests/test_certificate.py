@@ -21,7 +21,6 @@ from wreathcert import (
     certificate_to_json,
     group_order,
     is_prime,
-    level_witness,
     verify_certificate,
 )
 from wreathcert.certificate import certificate_to_dict
@@ -46,21 +45,23 @@ def test_group_order_matches_recursion(p, n_top):
 
 
 def test_level_witness_p3_first_levels():
-    rec = level_witness(3, 1)
+    levels = build_certificate(3, 3).levels
+    rec = levels[0]
     assert rec.norm_abs == 7
     assert rec.witness == (7, 1)
     assert rec.status == WITNESS_FOUND
-    assert level_witness(3, 2).witness == (43, 1)
-    rec3 = level_witness(3, 3)
+    assert levels[1].witness == (43, 1)
+    rec3 = levels[2]
     assert rec3.witness == (11, 2)  # exponent 2 is the point: 2 != 0 mod 3
     assert rec3.norm_abs == 58201  # 11^2 * 13 * 37
 
 
 def test_level_witness_deep_levels():
-    rec4 = level_witness(3, 4)
+    levels = build_certificate(3, 5).levels
+    rec4 = levels[3]
     assert rec4.witness == (1429, 1)
     assert rec4.norm_abs == 200417348396653
-    rec5 = level_witness(3, 5)
+    rec5 = levels[4]
     # the norm's other prime factor is only BPSW-probable (see
     # test_factoring.py); the witness search must not depend on certifying it
     assert rec5.witness == (139, 1)
@@ -101,20 +102,13 @@ def test_monotone_consistency():
     assert big.levels[:2] == small.levels
 
 
-def test_levels_independent_entry_point():
-    cert = build_certificate(3, 2)
-    assert level_witness(3, 1) == cert.levels[0]
-    assert level_witness(3, 2) == cert.levels[1]
-
-
-def test_size_cap_propagates_as_exception():
+def test_size_cap_propagates_as_exception(monkeypatch):
     # distinct from an INDETERMINATE record: the level fails loudly
     from wreathcert import SizeLimitError
 
+    monkeypatch.setattr("wreathcert.dynamics.MAX_COEFF_BITS", 16)
     with pytest.raises(SizeLimitError):
-        level_witness(3, 3, max_coeff_bits=16)
-    with pytest.raises(SizeLimitError):
-        build_certificate(3, 3, max_coeff_bits=16)
+        build_certificate(3, 3)
 
 
 # -- tampering ------------------------------------------------------------

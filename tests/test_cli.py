@@ -76,6 +76,34 @@ def test_norm_congruence_rejects_oversized_ring(capsys):
     assert "101" in err
 
 
+def test_norm_congruence_cap_exits_aborted(capsys):
+    # at p = 3 the 2^20-bit coefficient cap stops level 14
+    code, out, err = run_cli(["norm-congruence", "--p", "3", "--max-n", "20"], capsys)
+    assert code == EXIT_CAP
+    assert "n=13  residue=7  PASS" in out
+    assert "n=14  residue=-  ABORTED" in out
+    assert out.splitlines()[-1] == "overall: ABORTED"
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "statuses,overall,exit_code",
+    [
+        (["PASS", "FAIL"], "FAIL", EXIT_FAIL),
+        (["FAIL", "ABORTED"], "FAIL", EXIT_CAP),  # a failed level outranks the cap in the summary
+    ],
+)
+def test_norm_congruence_summary_line(monkeypatch, capsys, statuses, overall, exit_code):
+    from wreathcert.congruence import CongruenceItem, CongruenceReport
+
+    items = tuple(CongruenceItem(n, None, s) for n, s in enumerate(statuses, 1))
+    report = CongruenceReport(3, 7, "orbit-norms", None, None, items, passed=False)
+    monkeypatch.setattr("wreathcert.cli.norm_congruence_check", lambda p, n: report)
+    code, out, _ = run_cli(["norm-congruence", "--p", "3", "--max-n", "2"], capsys)
+    assert code == exit_code
+    assert out.splitlines()[-1] == f"overall: {overall}"
+
+
 def test_wieferich_check(capsys):
     code, out, _ = run_cli(["wieferich", "--check", "1093"], capsys)
     assert code == EXIT_OK
@@ -275,6 +303,16 @@ def test_certificate_past_int_str_limit_exits_cap(tmp_path, capsys):
         sys.set_int_max_str_digits(limit)
     assert code == EXIT_CAP
     assert "size cap exceeded" in err
+    assert not out_path.exists()
+
+
+def test_certificate_coefficient_cap_exits_cap(monkeypatch, tmp_path, capsys):
+    out_path = tmp_path / "c.json"
+    monkeypatch.setattr("wreathcert.dynamics.MAX_COEFF_BITS", 16)
+    code, _, err = run_cli(["certificate", "--p", "3", "--max-n", "3", "--out", str(out_path)], capsys)
+    assert code == EXIT_CAP
+    assert "size cap exceeded" in err
+    assert "16-bit cap" in err
     assert not out_path.exists()
 
 

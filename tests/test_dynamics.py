@@ -99,11 +99,12 @@ def test_semigroup_law():
                     assert whole == parts
 
 
-def test_size_cap_point_iteration():
+def test_size_cap_point_iteration(monkeypatch):
     with pytest.raises(SizeLimitError):
         iterate_point(3, 30, CycInt.one(3))
+    monkeypatch.setattr("wreathcert.dynamics.MAX_COEFF_BITS", 16)
     with pytest.raises(SizeLimitError):
-        iterate_point(3, 3, CycInt.one(3), max_coeff_bits=16)
+        iterate_point(3, 3, CycInt.one(3))
 
 
 def test_iterate_poly_shape():
@@ -130,13 +131,14 @@ def test_iterate_poly_constant_term_exact():
         assert iterate_poly(p, n).constant_term() == one_minus_zeta(p)
 
 
-def test_iterate_poly_cap():
+def test_iterate_poly_cap(monkeypatch):
     with pytest.raises(SizeLimitError):
-        iterate_poly(3, 9)  # 3^9 + 1 coefficients exceeds the default cap
-    with pytest.raises(SizeLimitError):
-        iterate_poly(5, 3, max_coeffs=100)
+        iterate_poly(3, 9)  # 3^9 + 1 coefficients exceeds the cap
     with pytest.raises(SizeLimitError):
         iterate_poly(3, 10**6)  # p^n past the int-str digit limit
+    monkeypatch.setattr("wreathcert.dynamics.MAX_POLY_COEFFS", 100)
+    with pytest.raises(SizeLimitError):
+        iterate_poly(5, 3)
 
 
 def test_poly_arithmetic_basics():

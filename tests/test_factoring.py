@@ -5,10 +5,7 @@ import random
 import pytest
 
 from wreathcert import (
-    COMPOSITE_UNFACTORED,
     DETERMINISTIC_LIMIT,
-    PRIME_PENDING,
-    UNIT,
     FactorConfig,
     Factorization,
     factor,
@@ -75,7 +72,7 @@ def test_factor_examples():
     assert factor(7).factors == ((7, 1),)
     f = factor(58201)
     assert f.factors == ((11, 2), (13, 1), (37, 1))
-    assert f.cofactor == 1 and f.cofactor_status == UNIT
+    assert f.cofactor == 1
     assert factor(9).factors == ((3, 2),)
     assert factor(2047).factors == ((23, 1), (89, 1))
 
@@ -84,8 +81,8 @@ def test_factor_sign_and_units():
     assert factor(-12) == factor(12)
     assert factor(12).n == 12
     one = factor(1)
-    assert one.factors == () and one.cofactor == 1 and one.cofactor_status == UNIT
-    assert factor(-1).is_complete()
+    assert one.factors == () and one.cofactor == 1
+    assert factor(-1) == one
 
 
 def test_factor_rejects_zero():
@@ -100,7 +97,7 @@ def test_factor_random_complete():
     for _ in range(40):
         n = rng.randint(2, 10**12)
         f = factor(n)
-        assert f.is_complete(), n
+        assert f.cofactor == 1, n
         product = 1
         for q, e in f.factors:
             assert is_prime(q)
@@ -113,7 +110,7 @@ def test_factor_rho_splits_semiprime():
     n = 1000003 * 1000033  # both factors beyond the default trial bound
     f = factor(n)
     assert f.factors == ((1000003, 1), (1000033, 1))
-    assert f.is_complete()
+    assert f.cofactor == 1
 
 
 def test_factor_deterministic():
@@ -126,9 +123,8 @@ def test_factor_honest_composite_leftover():
     p1, p2 = 1000000000000037, 2000000000000021
     cfg = FactorConfig(trial_bound=1000, rho_budget=50, rho_seed=3)
     f = factor(3 * p1 * p2, cfg)
-    assert (3, 1) in f.factors
-    assert f.cofactor == p1 * p2
-    assert f.cofactor_status == COMPOSITE_UNFACTORED
+    assert f.factors == ((3, 1),)
+    assert f.cofactor == p1 * p2  # proved composite, left unsplit
 
 
 def test_factor_budget_unlocks_split():
@@ -136,18 +132,17 @@ def test_factor_budget_unlocks_split():
     # feasible here at ~3 * 10^5
     p1, p2 = 100000000003, 300000000077
     tiny = factor(p1 * p2, FactorConfig(trial_bound=100, rho_budget=100, rho_seed=3))
+    assert tiny.factors == ()
     assert tiny.cofactor == p1 * p2
-    assert tiny.cofactor_status == COMPOSITE_UNFACTORED
     full = factor(p1 * p2, FactorConfig(trial_bound=100, rho_budget=10**7, rho_seed=3))
-    assert full.is_complete()
+    assert full.cofactor == 1
     assert full.factors == ((p1, 1), (p2, 1))
 
 
 def test_factor_pending_prime_cofactor():
     f = factor(2 * M89, FactorConfig(trial_bound=100, rho_budget=1000, rho_seed=1))
     assert f.factors == ((2, 1),)
-    assert f.cofactor == M89
-    assert f.cofactor_status == PRIME_PENDING
+    assert f.cofactor == M89  # prime, but past the deterministic range
 
 
 def test_factor_orbit_norm_pending_cofactor():
@@ -156,7 +151,7 @@ def test_factor_orbit_norm_pending_cofactor():
     f = factor(8050183582883899128838114506334853717591107)
     assert f.factors == ((139, 1),)
     assert f.cofactor == 57914989804920137617540392131905422428713
-    assert f.cofactor_status == PRIME_PENDING
+    assert is_prime(f.cofactor) and not is_prime_certain(f.cofactor)
 
 
 def test_factor_reconstruction_always():
@@ -169,11 +164,10 @@ def test_factor_reconstruction_always():
         for q, e in f.factors:
             product *= q**e
         assert product == n
-        assert f.is_complete() == (f.cofactor_status == UNIT)
 
 
 def test_factorization_value_type():
-    f = Factorization(6, ((2, 1), (3, 1)), 1, UNIT)
-    assert f.is_complete()
-    g = Factorization(6, ((2, 1), (3, 1)), 1, UNIT)
+    f = Factorization(6, ((2, 1), (3, 1)), 1)
+    assert f == factor(6)
+    g = Factorization(6, ((2, 1), (3, 1)), 1)
     assert f == g
