@@ -187,19 +187,24 @@ class CycInt:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> CycInt:
-        """self^e for an int e >= 0, by square-and-multiply."""
+    def __pow__(self, e: int, modulus: int | None = None) -> CycInt:
+        """self^e for an int e >= 0, by square-and-multiply.
+
+        pow(x, e, m) reduces x and every product mod m, so the result is
+        x^e with each coordinate reduced into [0, m).
+        """
         if not isinstance(e, int) or isinstance(e, bool):
             return NotImplemented
         if e < 0:
             raise ValueError("ring elements have no negative powers")
+        p, x = self.p, _reduce(self.coeffs, _require_modulus(modulus))
         if e == 0:
-            return self._coerce(1)
-        p, acc = self.p, self.coeffs
+            return CycInt._of(p, _reduce((1,) + (0,) * (p - 2), modulus))
+        acc = x
         for bit in bin(e)[3:]:
-            acc = _mul(acc, acc, p)
+            acc = _mul_mod(acc, acc, p, modulus)
             if bit == "1":
-                acc = _mul(acc, self.coeffs, p)
+                acc = _mul_mod(acc, x, p, modulus)
         return CycInt._of(p, acc)
 
     # -- Galois action ------------------------------------------------
@@ -232,25 +237,14 @@ class CycInt:
         so it carries the orbit product to N(x) mod m; the coefficients
         stay below m instead of growing to the size of the norm.
         """
-        p, x = self.p, self.coeffs
-        if modulus is not None:
-            if not isinstance(modulus, int) or isinstance(modulus, bool):
-                raise TypeError(f"modulus must be an int, got {type(modulus).__name__}")
-            if modulus < 1:
-                raise ValueError(f"modulus must be positive, got {modulus}")
-            x = tuple(c % modulus for c in x)
-
-        def times(a, b):
-            prod = _mul(a, b, p)
-            return prod if modulus is None else tuple(c % modulus for c in prod)
-
+        p, x = self.p, _reduce(self.coeffs, _require_modulus(modulus))
         g = _primitive_root(p)
         y, k = x, 1
         for bit in bin(p - 1)[3:]:
-            y = times(y, _conj(y, pow(g, k, p), p))
+            y = _mul_mod(y, _conj(y, pow(g, k, p), p), p, modulus)
             k *= 2
             if bit == "1":
-                y = times(y, _conj(x, pow(g, k, p), p))
+                y = _mul_mod(y, _conj(x, pow(g, k, p), p), p, modulus)
                 k += 1
         if any(y[1:]):
             raise AssertionError(f"Galois orbit product is not rational: {CycInt(p, y)!r}")
@@ -325,6 +319,26 @@ def _mul(a, b, p: int) -> tuple:
     return _fold(prod, p)
 
 
+def _mul_mod(a, b, p: int, m: int | None) -> tuple:
+    """Product of two reduced coefficient tuples, reduced mod m unless m is None."""
+    return _reduce(_mul(a, b, p), m)
+
+
+def _reduce(a, m: int | None) -> tuple:
+    """Each coefficient mod m, in [0, m); a itself when m is None."""
+    return a if m is None else tuple(c % m for c in a)
+
+
+def _require_modulus(m: int | None) -> int | None:
+    """Validate an optional modulus: None or an int m >= 1; return it."""
+    if m is not None:
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise TypeError(f"modulus must be an int, got {type(m).__name__}")
+        if m < 1:
+            raise ValueError(f"modulus must be positive, got {m}")
+    return m
+
+
 def _convolve(a, b) -> list:
     """Coefficients of the product of two polynomials given as equal-length sequences.
 
@@ -362,6 +376,7 @@ def _conj(a, k: int, p: int) -> tuple:
     return _fold(raw, p)
 
 
+@lru_cache(maxsize=None)
 def _primitive_root(p: int) -> int:
     """Smallest generator of the cyclic group (Z/pZ)^*."""
     n = p - 1

@@ -8,6 +8,9 @@ because its degree is p^n while a point's coefficients merely grow
 p-fold per step.
 Both directions carry fixed size caps, MAX_COEFF_BITS and
 MAX_POLY_COEFFS (SizeLimitError), since growth is doubly exponential in n.
+The coefficient cap guards the exact orbit that certificates and their
+verification walk; the orbit congruence steps with phi_at(x, p^2)
+instead, whose coefficients stay below p^2, so it needs no cap.
 
 The structural checks read phi's own coefficients and values and hold
 for every n by a one-step induction, so their cost does not depend on n:
@@ -182,13 +185,17 @@ def phi(p: int) -> CycPoly:
     return CycPoly(p, coeffs)
 
 
-def phi_at(x: CycInt) -> CycInt:
+def phi_at(x: CycInt, modulus: int | None = None) -> CycInt:
     """phi(x) = (x - 1)^p + (2 - zeta), with the power by square-and-multiply.
 
     Equal to phi(p)(x), the Horner evaluation of the expanded phi, in
-    O(log p) ring multiplies instead of p.
+    O(log p) ring multiplies instead of p.  With a modulus m the power
+    runs in (Z/m)[zeta] and the result is phi(x) with each coordinate
+    reduced into [0, m).
     """
-    return (x - 1) ** x.p + CycInt._of(x.p, (2, -1) + (0,) * (x.p - 3))
+    p = x.p
+    y = pow(x - 1, p, modulus) + CycInt._of(p, (2, -1) + (0,) * (p - 3))
+    return y if modulus is None else CycInt._of(p, tuple(c % modulus for c in y.coeffs))
 
 
 def _coeff_bits(x: CycInt) -> int:
@@ -196,9 +203,10 @@ def _coeff_bits(x: CycInt) -> int:
 
 
 def orbit_points(p: int, x0: CycInt, n: int) -> Iterator[CycInt]:
-    """Yield phi^k(x0) for k = 1..n, guarding coefficient growth.
+    """Iterator over phi^k(x0) for k = 1..n, guarding coefficient growth.
 
-    Raises SizeLimitError before a step whose result would clearly
+    p, n and the ring of x0 are checked at the call.  The iterator
+    raises SizeLimitError before a step whose result would clearly
     exceed MAX_COEFF_BITS (one step multiplies bit sizes by about p), or
     after a step that did.
     """
@@ -207,6 +215,10 @@ def orbit_points(p: int, x0: CycInt, n: int) -> Iterator[CycInt]:
         raise ValueError("need n >= 1")
     if x0.p != p:
         raise RingMismatchError(f"start point lives in Z[zeta_{x0.p}], expected p={p}")
+    return _capped_orbit(p, x0, n)
+
+
+def _capped_orbit(p: int, x0: CycInt, n: int) -> Iterator[CycInt]:
     x = x0
     for _ in range(n):
         if (_coeff_bits(x) + 8) * p > MAX_COEFF_BITS:

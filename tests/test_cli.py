@@ -17,7 +17,7 @@ from wreathcert.cli import (
     EXIT_USAGE,
     main,
 )
-from wreathcert.congruence import MAX_SCAN_LIMIT
+from wreathcert.congruence import MAX_LEVELS, MAX_SCAN_LIMIT
 
 
 def run_cli(argv, capsys):
@@ -76,27 +76,26 @@ def test_norm_congruence_rejects_oversized_ring(capsys):
     assert "101" in err
 
 
-def test_norm_congruence_cap_exits_aborted(capsys):
-    # at p = 3 the 2^20-bit coefficient cap stops level 14
+def test_norm_congruence_deep_orbit_exits_ok(capsys):
     code, out, err = run_cli(["norm-congruence", "--p", "3", "--max-n", "20"], capsys)
-    assert code == EXIT_CAP
-    assert "n=13  residue=7  PASS" in out
-    assert "n=14  residue=-  ABORTED" in out
-    assert out.splitlines()[-1] == "overall: ABORTED"
+    assert code == EXIT_OK
+    assert "n=20  residue=7  PASS" in out
+    assert out.splitlines()[-1] == "overall: PASS"
     assert err == ""
 
 
-@pytest.mark.parametrize(
-    "statuses,overall,exit_code",
-    [
-        (["PASS", "FAIL"], "FAIL", EXIT_FAIL),
-        (["FAIL", "ABORTED"], "FAIL", EXIT_CAP),  # a failed level outranks the cap in the summary
-    ],
-)
+def test_norm_congruence_rejects_too_many_levels(capsys):
+    code, out, err = run_cli(["norm-congruence", "--p", "3", "--max-n", str(MAX_LEVELS + 1)], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert str(MAX_LEVELS) in err
+
+
+@pytest.mark.parametrize("statuses,overall,exit_code", [(["PASS", "FAIL"], "FAIL", EXIT_FAIL)])
 def test_norm_congruence_summary_line(monkeypatch, capsys, statuses, overall, exit_code):
     from wreathcert.congruence import CongruenceItem, CongruenceReport
 
-    items = tuple(CongruenceItem(n, None, s) for n, s in enumerate(statuses, 1))
+    items = tuple(CongruenceItem(n, 0, s) for n, s in enumerate(statuses, 1))
     report = CongruenceReport(3, 7, "orbit-norms", None, None, items, passed=False)
     monkeypatch.setattr("wreathcert.cli.norm_congruence_check", lambda p, n: report)
     code, out, _ = run_cli(["norm-congruence", "--p", "3", "--max-n", "2"], capsys)

@@ -19,7 +19,7 @@ from wreathcert import (
     wieferich_check,
     wieferich_scan,
 )
-from wreathcert.congruence import ABORTED, MAX_SCAN_LIMIT, PASS, _odd_primes_up_to
+from wreathcert.congruence import MAX_LEVELS, MAX_SCAN_LIMIT, PASS, _odd_primes_up_to
 from wreathcert.dynamics import orbit_points, phi_at
 
 
@@ -43,20 +43,21 @@ def test_norm_congruence_p3():
     assert 58201 % 9 == 7
 
 
-def test_norm_congruence_records_abort():
-    # at p = 3 the orbit point of level 13 is near 467,569 bits, so the
-    # 2^20-bit cap stops level 14
+def test_norm_congruence_passes_deep_orbits():
+    # the exact orbit point of level 14 at p = 3 would pass 2^20 bits;
+    # the walk in Z[zeta]/(p^2) has no such limit
     report = norm_congruence_check(3, 20)
-    assert not report.passed
-    statuses = [item.status for item in report.items]
-    assert statuses == [PASS] * 13 + [ABORTED]  # later levels skipped, not guessed
-    assert report.items[-1].residue is None
-    assert report.items[-1].note
+    assert report.passed
+    assert [item.status for item in report.items] == [PASS] * 20
+    assert [item.residue for item in report.items] == [7] * 20
+    assert norm_congruence_check(3, MAX_LEVELS).passed
 
 
 def test_norm_congruence_validates():
     with pytest.raises(ValueError):
         norm_congruence_check(3, 0)
+    with pytest.raises(ValueError):
+        norm_congruence_check(3, MAX_LEVELS + 1)
     with pytest.raises(ValueError):
         norm_congruence_check(4, 2)
 
@@ -107,7 +108,7 @@ def test_general_congruence_residues_match_exact_norms():
 
 
 def test_norm_congruence_residues_match_exact_norms():
-    for p, n in ((3, 8), (5, 4), (7, 3)):
+    for p, n in ((3, 8), (5, 4), (7, 3), (11, 3), (13, 2), (61, 2)):
         report = norm_congruence_check(p, n)
         exact = [x.norm() % p**2 for x in orbit_points(p, CycInt.one(p), n)]
         assert [item.residue for item in report.items] == exact

@@ -291,6 +291,8 @@ def test_norm_rejects_irrational_product(monkeypatch):
 def test_norm_modulus_rejects_bad_values(bad):
     with pytest.raises((ValueError, TypeError)):
         one_minus_zeta(5).norm(bad)
+    with pytest.raises((ValueError, TypeError)):
+        pow(one_minus_zeta(5), 2, bad)
 
 
 def test_norm_multiplicative():

@@ -61,6 +61,17 @@ def test_phi_at_matches_horner(p):
         assert phi_at(x) == f(x)
 
 
+def test_modular_phi_at_and_pow_match_exact_reduced():
+    rng = random.Random(71)
+    for p in (3, 5, 7, 13, 31):
+        for _ in range(5):
+            x = CycInt(p, [rng.randint(-(10**6), 10**6) for _ in range(p - 1)])
+            for m in (p * p, 2**61 - 1, 1):
+                assert phi_at(x, m) == CycInt(p, [c % m for c in phi_at(x).coeffs])
+                for e in (0, 1, 2, p, 2 * p + 1):
+                    assert pow(x, e, m) == CycInt(p, [c % m for c in (x**e).coeffs])
+
+
 def test_eval_ring_mismatch():
     with pytest.raises(RingMismatchError):
         phi(3)(CycInt.one(5))
@@ -85,6 +96,15 @@ def test_iterate_point_validates():
         iterate_point(3, 0, CycInt.one(3))
     with pytest.raises(RingMismatchError):
         iterate_point(3, 1, CycInt.one(5))
+
+
+def test_orbit_points_validates_before_iterating():
+    with pytest.raises(ValueError):
+        orbit_points(3, CycInt.one(3), 0)
+    with pytest.raises(RingMismatchError):
+        orbit_points(3, CycInt.one(5), 1)
+    with pytest.raises(ValueError):
+        orbit_points(4, CycInt.one(3), 1)
 
 
 def test_semigroup_law():
