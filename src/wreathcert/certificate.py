@@ -178,7 +178,7 @@ def certificate_problems(cert: MaximalityCertificate) -> list[str]:
         return [f"bad n: {n}"]
     p2 = p * p
 
-    if cert.wieferich != (pow(2, p - 1, p2) == 1):
+    if cert.wieferich != wieferich_check(p):
         problems.append(f"wieferich flag {cert.wieferich} contradicts 2^(p-1) mod p^2")
     exponent = _order_exponent(p, n, cert.group_order_claimed.bit_length())
     if exponent is None or cert.group_order_claimed != p**exponent:

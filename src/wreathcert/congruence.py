@@ -8,9 +8,11 @@ Both compute only the residue, N(x) mod p^2, by running the norm in
 Z[zeta]/(p^2): reduction mod p^2 is a ring map that commutes with the
 Galois action, so it carries the product of the conjugates of x to that
 of the reduced conjugates, and the full integer norm is never formed.
-The orbit itself is walked in Z[zeta]/(p^2) too: phi has coefficients
-in Z[zeta], so reduction commutes with phi as well, the reduced orbit
-of 1 is the orbit of 1 reduced, and no exact orbit point is built.
+Both take the step phi in Z[zeta]/(p^2) too: phi has coefficients in
+Z[zeta], so reduction commutes with phi as well.  The orbit check walks
+the reduced orbit of 1, which is the orbit of 1 reduced, and builds no
+exact orbit point; the lift check builds each random lift x exactly and
+only phi(x) reduced.
 
 Wieferich primes (2^(p-1) = 1 mod p^2) are the one hypothesis the
 certificate pipeline cannot discharge; wieferich_check / wieferich_scan
@@ -23,10 +25,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import compress
+from itertools import islice
 
 from .cyclotomic import CycInt, one_minus_zeta, require_odd_prime, require_ring_prime
 from .dynamics import phi_at
+from .factoring import MAX_SIEVE_LIMIT, primes_up_to
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -34,10 +37,6 @@ FAIL = "FAIL"
 # norm_congruence_check takes time and memory linear in n_max; the cap
 # bounds a run at p = 101 to about 15 s on a 2-vCPU x86-64 host
 MAX_LEVELS = 1000
-
-# wieferich_scan holds a (limit + 1)-byte sieve and a list of every prime up
-# to limit; the cap bounds them at 100 MB and 5.8 million primes
-MAX_SCAN_LIMIT = 10**8
 
 
 def expected_residue(p: int) -> int:
@@ -121,7 +120,7 @@ def general_congruence_check(
     for t in range(1, trials + 1):
         r = CycInt(p, [rng.randint(-coeff_bound, coeff_bound) for _ in range(p - 1)])
         x = one + pi * r
-        residue = phi_at(x).norm(p2)
+        residue = phi_at(x, p2).norm(p2)
         items.append(CongruenceItem(t, residue, PASS if residue == want else FAIL))
     return CongruenceReport(
         p=p,
@@ -143,28 +142,18 @@ def wieferich_check(p: int) -> bool:
     return pow(2, p - 1, p * p) == 1
 
 
-def _odd_primes_up_to(limit: int) -> list[int]:
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for q in range(2, int(limit**0.5) + 1):
-        if sieve[q]:
-            start = q * q
-            sieve[start :: q] = b"\x00" * ((limit - start) // q + 1)
-    sieve[2] = 0  # cleared only after it has struck out the even numbers
-    return list(compress(range(limit + 1), sieve))
-
-
 def require_scan_limit(limit: int) -> int:
-    """Validate a Wieferich scan limit: 3 <= limit <= MAX_SCAN_LIMIT; return it."""
-    if not 3 <= limit <= MAX_SCAN_LIMIT:
-        raise ValueError(f"need 3 <= limit <= {MAX_SCAN_LIMIT}, got {limit}")
+    """Validate a Wieferich scan limit: 3 <= limit <= MAX_SIEVE_LIMIT; return it."""
+    if not 3 <= limit <= MAX_SIEVE_LIMIT:
+        raise ValueError(f"need 3 <= limit <= {MAX_SIEVE_LIMIT}, got {limit}")
     return limit
 
 
 def wieferich_scan(limit: int) -> list[int]:
     """All Wieferich primes up to limit, ascending."""
     require_scan_limit(limit)
-    return [q for q in _odd_primes_up_to(limit) if pow(2, q - 1, q * q) == 1]
+    odd_primes = islice(primes_up_to(limit), 1, None)
+    return [q for q in odd_primes if pow(2, q - 1, q * q) == 1]
 
 
 # -- p-th powers mod p^2 -------------------------------------------------

@@ -17,7 +17,8 @@ runs in (Z/m)[zeta] and returns N(x) mod m.
 Ring multiply convolves the two coefficient vectors by Karatsuba's
 recursion (three half-length products in place of four) down to a short
 cutoff, where the schoolbook loop takes over, and then wraps exponents
-through zeta^p = 1.
+through zeta^p = 1.  Polynomials over Z[zeta] multiply through the same
+two steps (dynamics.CycPoly).
 
 The prime ideal generated by (1 - zeta) is the unique prime above p
 (p factors as its (p-1)-st power).  Division by (1 - zeta) is exact
@@ -312,9 +313,13 @@ def _fold(raw, p: int) -> tuple:
 
 def _mul(a, b, p: int) -> tuple:
     """Product of two reduced coefficient tuples."""
-    prod = _convolve(a, b)
+    return _wrap(_convolve(a, b), p)
+
+
+def _wrap(prod: list, p: int) -> tuple:
+    """Reduce a product's coefficients of zeta^0..zeta^(2p-4), in place, to the stored p - 1."""
     # exponents >= p wrap around through zeta^p = 1
-    for e in range(p, 2 * p - 3):
+    for e in range(p, len(prod)):
         prod[e - p] += prod[e]
     return _fold(prod, p)
 

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .cyclotomic import CycInt, one_minus_zeta, require_ring_prime
+from .cyclotomic import CycInt, _convolve, _wrap, one_minus_zeta, require_ring_prime
 from .errors import RingMismatchError, SizeLimitError
 
 MAX_COEFF_BITS = 1 << 20
@@ -130,22 +130,12 @@ class CycPoly:
         if self.is_zero() or other.is_zero():
             return CycPoly(self.p, ())
         p = self.p
-        # one integer convolution in (z, zeta): raw[i][k] is the coefficient
-        # of z^i zeta^k, k <= 2p - 4; each output CycInt is built once
-        raw = [[0] * (2 * p - 3) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        other_coeffs = [b.coeffs for b in other.coeffs]
-        for i, a in enumerate(self.coeffs):
-            rows = raw[i:]
-            for k, ak in enumerate(a.coeffs):
-                if ak:
-                    for acc, b in zip(rows, other_coeffs):
-                        for j, bj in enumerate(b, k):
-                            acc[j] += ak * bj
-        out = []
-        for acc in raw:
-            for e in range(p, 2 * p - 3):  # zeta^p = 1
-                acc[e - p] += acc[e]
-            out.append(CycInt(p, acc[:p]))
+        # one integer convolution: z^i zeta^k sits at i * w + k, and a ring
+        # product reaches only zeta^(2p - 4), so slots of w = 2p - 3 never overlap
+        w = 2 * p - 3
+        size = max(len(self.coeffs), len(other.coeffs)) * w
+        prod = _convolve(_slotted(self.coeffs, w, size), _slotted(other.coeffs, w, size))
+        out = [CycInt._of(p, _wrap(prod[i * w : (i + 1) * w], p)) for i in range(self.degree + other.degree + 1)]
         return CycPoly(p, out)
 
     __rmul__ = __mul__
@@ -171,6 +161,14 @@ class CycPoly:
             if e:
                 base = base * base
         return result
+
+
+def _slotted(coeffs, w: int, size: int) -> list:
+    """The coefficient tuples of CycInts laid w apart in one zero-padded list."""
+    flat = [0] * size
+    for i, c in enumerate(coeffs):
+        flat[i * w : i * w + len(c.coeffs)] = c.coeffs
+    return flat
 
 
 def phi(p: int) -> CycPoly:

@@ -1,10 +1,14 @@
 """Primality testing and desk-scale integer factorization.
 
-is_prime() is deterministic for n below DETERMINISTIC_LIMIT (a fixed
-Miller-Rabin base set suffices there); above that it falls back to a
-BPSW-style test (strong base-2 Miller-Rabin plus a strong Lucas test
-with Selfridge parameters), which has no known counterexamples but is
-formally probabilistic.
+is_prime() is Miller-Rabin with thirteen fixed bases for every n.  That
+is a proof below DETERMINISTIC_LIMIT and only a probable-prime test above
+it, so every verdict that rests on primality (the ring prime, a
+certificate's witness, verify's fingerprint prime) keeps n below the
+limit: require_odd_prime and is_prime_certain refuse larger n before
+they ask.
+
+primes_up_to() is the one prime sieve; trial division and the Wieferich
+scan both walk it, and MAX_SIEVE_LIMIT caps its memory.
 
 factor() runs trial division up to a configured bound, then a seeded
 Brent-variant Pollard rho within an iteration budget.  Results are
@@ -18,6 +22,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import compress
+from typing import Iterator
 
 # Miller-Rabin with the first thirteen prime bases is a proven primality
 # test below this bound, the least strong pseudoprime to all of them
@@ -29,6 +35,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
 )
+
+# primes_up_to holds a (limit + 1)-byte sieve, so both of its callers, the
+# trial bound of factor() and the Wieferich scan limit, stop at 100 MB
+MAX_SIEVE_LIMIT = 10**8
 
 
 @dataclass(frozen=True)
@@ -44,12 +54,11 @@ class FactorConfig:
 class Factorization:
     """Multiset of certified prime factors plus an honest leftover.
 
-    n = prod(q**e for q, e in factors) * cofactor, exactly.  Every
+    |n| = prod(q**e for q, e in factors) * cofactor, exactly.  Every
     listed prime passed a deterministic primality check.  cofactor is 1
     iff the factorization is complete.
     """
 
-    n: int
     factors: tuple[tuple[int, int], ...]
     cofactor: int
 
@@ -74,69 +83,12 @@ def _mr_composite(n: int, a: int) -> bool:
     return True
 
 
-def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n > 0."""
-    a %= n
-    result = 1
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def _strong_lucas_prp(n: int) -> bool:
-    """Strong Lucas probable-prime test with Selfridge parameters."""
-    if math.isqrt(n) ** 2 == n:
-        return False
-    D = 5
-    while True:
-        j = _jacobi(D, n)
-        if j == -1:
-            break
-        if j == 0:
-            # gcd(|D|, n) > 1; n is far larger than |D| here
-            return False
-        D = -(D + 2) if D > 0 else -(D - 2)
-    Q = (1 - D) // 4
-
-    d = n + 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-
-    # Compute U_d, V_d, Q^d by a left-to-right binary chain (P = 1).
-    U, V, Qk = 1, 1, Q % n
-    for bit in bin(d)[3:]:
-        U, V = U * V % n, (V * V - 2 * Qk) % n
-        Qk = Qk * Qk % n
-        if bit == "1":
-            U, V = U + V, V + D * U
-            if U % 2:
-                U += n
-            if V % 2:
-                V += n
-            U = U // 2 % n
-            V = V // 2 % n
-            Qk = Qk * Q % n
-    if U == 0 or V == 0:
-        return True
-    for _ in range(s - 1):
-        V = (V * V - 2 * Qk) % n
-        if V == 0:
-            return True
-        Qk = Qk * Qk % n
-    return False
-
-
 def is_prime(n: int) -> bool:
-    """Primality test; deterministic below DETERMINISTIC_LIMIT."""
+    """Miller-Rabin with the thirteen bases of _MR_BASES, for every n.
+
+    A proof below DETERMINISTIC_LIMIT; above it a probable-prime test only,
+    which is why no verdict reads its answer there.
+    """
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -144,9 +96,7 @@ def is_prime(n: int) -> bool:
             return True
         if n % q == 0:
             return False
-    if n < DETERMINISTIC_LIMIT:
-        return not any(_mr_composite(n, a) for a in _MR_BASES)
-    return not _mr_composite(n, 2) and _strong_lucas_prp(n)
+    return not any(_mr_composite(n, a) for a in _MR_BASES)
 
 
 def is_prime_certain(n: int) -> bool:
@@ -154,26 +104,31 @@ def is_prime_certain(n: int) -> bool:
     return n < DETERMINISTIC_LIMIT and is_prime(n)
 
 
+def primes_up_to(limit: int) -> Iterator[int]:
+    """The primes q <= limit, ascending, read lazily off a (limit + 1)-byte sieve.
+
+    Callers keep 0 <= limit <= MAX_SIEVE_LIMIT.
+    """
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0:2] = b"\x00\x00"
+    for q in range(2, math.isqrt(limit) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes((limit - q * q) // q + 1)
+    return compress(range(limit + 1), sieve)
+
+
 def _trial_divide(m: int, bound: int, counts: dict[int, int]) -> int:
-    """Strip prime factors <= bound from m, recording exponents."""
-    for q in (2, 3):
-        if q > bound:
-            return m
+    """Strip the prime factors q <= bound from m, recording exponents.
+
+    Stops once q^2 exceeds what is left, so the rest it returns is 1, a
+    prime, or a number with no prime factor <= bound.
+    """
+    for q in primes_up_to(min(bound, math.isqrt(m))):
+        if q * q > m:
+            break
         while m % q == 0:
             counts[q] = counts.get(q, 0) + 1
             m //= q
-    q = 5
-    step = 2  # alternates 2, 4 to walk 6k +- 1
-    while q <= bound and q * q <= m:
-        while m % q == 0:
-            counts[q] = counts.get(q, 0) + 1
-            m //= q
-        q += step
-        step = 6 - step
-    if m > 1 and q * q > m:
-        # every candidate below sqrt(m) was tried, so m is prime
-        counts[m] = counts.get(m, 0) + 1
-        return 1
     return m
 
 
@@ -227,8 +182,8 @@ def factor(n: int, cfg: FactorConfig = FactorConfig()) -> Factorization:
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    if cfg.trial_bound < 2:
-        raise ValueError("trial_bound must be >= 2")
+    if not 2 <= cfg.trial_bound <= MAX_SIEVE_LIMIT:
+        raise ValueError(f"trial_bound must be in [2, {MAX_SIEVE_LIMIT}], got {cfg.trial_bound}")
     m = abs(n)
     counts: dict[int, int] = {}
     m = _trial_divide(m, cfg.trial_bound, counts)
@@ -264,4 +219,4 @@ def factor(n: int, cfg: FactorConfig = FactorConfig()) -> Factorization:
         check *= q**e
     if check != abs(n):
         raise AssertionError("factorization does not reconstruct its input")
-    return Factorization(abs(n), factors, cofactor)
+    return Factorization(factors, cofactor)

@@ -9,6 +9,9 @@ Each one answers a question the library answers another way:
   where the library uses the closed formula p^((p^n - 1)/(p - 1));
 * ring multiply by the schoolbook convolution of the coefficient
   vectors, where the library splits long vectors by Karatsuba;
+* polynomial multiply by the schoolbook sum of CycInt products, where
+  the library lays both polynomials out in one integer vector and
+  convolves that once;
 * division by (1 - zeta) through the complement product
   prod_{k=2}^{p-1} (1 - zeta^k), whose product with (1 - zeta) is p,
   where the library divides by prefix sums;
@@ -21,7 +24,7 @@ here and by iterate_poly, so a test that replaces it sees both follow.
 
 from functools import lru_cache
 
-from wreathcert import CycInt, dynamics, iterate_poly, one_minus_zeta, zeta
+from wreathcert import CycInt, CycPoly, dynamics, iterate_poly, one_minus_zeta, zeta
 
 # -- structural facts ------------------------------------------------------
 
@@ -94,6 +97,15 @@ def mul_schoolbook(a, b, p: int) -> tuple:
         prod[e - p] += prod[e]
     top = prod[p - 1]
     return tuple(c - top for c in prod[: p - 1])
+
+
+def poly_mul_schoolbook(f: CycPoly, g: CycPoly) -> CycPoly:
+    """f * g as the sum of f_i g_j z^(i + j), one ring product per pair."""
+    out = [CycInt.zero(f.p)] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return CycPoly(f.p, out)
 
 
 # -- the prime above p -----------------------------------------------------

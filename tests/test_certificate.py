@@ -62,8 +62,9 @@ def test_level_witness_deep_levels():
     assert rec4.witness == (1429, 1)
     assert rec4.norm_abs == 200417348396653
     rec5 = levels[4]
-    # the norm's other prime factor is only BPSW-probable (see
-    # test_factoring.py); the witness search must not depend on certifying it
+    # the norm's other prime factor is past DETERMINISTIC_LIMIT, so only a
+    # probable prime (see test_factoring.py); the witness search must not
+    # depend on certifying it
     assert rec5.witness == (139, 1)
     assert rec5.norm_abs == P3_LEVEL5_NORM
     assert rec5.status == WITNESS_FOUND
@@ -187,8 +188,9 @@ def test_verify_rejects_inconsistent_verdict():
 
 
 def test_verify_rejects_uncertain_witness():
-    # the 136-bit cofactor of the level-5 norm passes BPSW and divides the
-    # norm exactly once, but its primality is not certain
+    # the 136-bit cofactor of the level-5 norm passes Miller-Rabin and
+    # divides the norm exactly once, but past DETERMINISTIC_LIMIT that does
+    # not prove it prime
     cert = build_certificate(3, 5)
     q = P3_LEVEL5_NORM // 139
     assert q >= DETERMINISTIC_LIMIT and is_prime(q)

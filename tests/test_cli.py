@@ -17,7 +17,8 @@ from wreathcert.cli import (
     EXIT_USAGE,
     main,
 )
-from wreathcert.congruence import MAX_LEVELS, MAX_SCAN_LIMIT
+from wreathcert.congruence import MAX_LEVELS
+from wreathcert.factoring import MAX_SIEVE_LIMIT
 
 
 def run_cli(argv, capsys):
@@ -121,9 +122,9 @@ def test_wieferich_scan(capsys):
     assert code == EXIT_OK
     assert out.strip() == ""
     # argparse rejects the limit before any sieve is allocated
-    code, _, err = run_cli(["wieferich", "--scan", str(MAX_SCAN_LIMIT + 1)], capsys)
+    code, _, err = run_cli(["wieferich", "--scan", str(MAX_SIEVE_LIMIT + 1)], capsys)
     assert code == EXIT_USAGE
-    assert str(MAX_SCAN_LIMIT) in err
+    assert str(MAX_SIEVE_LIMIT) in err
 
 
 def test_wieferich_flags_exclusive(capsys):
@@ -165,6 +166,18 @@ def test_certificate_rejects_oversized_non_wieferich_p(tmp_path, capsys):
     )
     assert code == EXIT_USAGE
     assert "101" in err
+
+
+@pytest.mark.parametrize("bound", [MAX_SIEVE_LIMIT + 1, 10**12])
+def test_certificate_rejects_trial_bound_past_sieve_cap(tmp_path, capsys, bound):
+    # refused before a sieve of bound bytes is allocated
+    out_path = tmp_path / "c.json"
+    code, _, err = run_cli(
+        ["certificate", "--p", "3", "--max-n", "6", "--trial-bound", str(bound), "--out", str(out_path)], capsys
+    )
+    assert code == EXIT_USAGE
+    assert err == f"error: trial_bound must be in [2, {MAX_SIEVE_LIMIT}], got {bound}\n"
+    assert not out_path.exists()
 
 
 def test_certificate_unwritable_path(tmp_path, capsys):

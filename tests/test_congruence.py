@@ -1,6 +1,5 @@
 """Norm congruences, Wieferich checks, p-th powers mod p^2."""
 
-import math
 import random
 
 import pytest
@@ -19,8 +18,9 @@ from wreathcert import (
     wieferich_check,
     wieferich_scan,
 )
-from wreathcert.congruence import MAX_LEVELS, MAX_SCAN_LIMIT, PASS, _odd_primes_up_to
+from wreathcert.congruence import MAX_LEVELS, PASS
 from wreathcert.dynamics import orbit_points, phi_at
+from wreathcert.factoring import MAX_SIEVE_LIMIT
 
 
 def test_expected_residues():
@@ -139,12 +139,6 @@ def test_wieferich_rejects_non_primes():
         wieferich_check(2)
 
 
-def test_odd_primes_match_trial_division():
-    for limit in (3, 4, 5, 10**4):
-        want = [q for q in range(3, limit + 1) if all(q % d for d in range(2, math.isqrt(q) + 1))]
-        assert _odd_primes_up_to(limit) == want
-
-
 def test_wieferich_scan_small():
     assert wieferich_scan(1000) == []
     assert wieferich_scan(1093) == [1093]
@@ -152,7 +146,7 @@ def test_wieferich_scan_small():
     with pytest.raises(ValueError):
         wieferich_scan(2)
     with pytest.raises(ValueError):
-        wieferich_scan(MAX_SCAN_LIMIT + 1)
+        wieferich_scan(MAX_SIEVE_LIMIT + 1)
 
 
 # -- p-th powers mod p^2 ---------------------------------------------------

@@ -173,6 +173,22 @@ def test_poly_arithmetic_basics():
     assert h.constant_term() == one_minus_zeta(p) + z5
 
 
+@pytest.mark.parametrize("p", [3, 13, 17, 101])
+def test_poly_mul_matches_schoolbook(p):
+    rng = random.Random(p)
+
+    def poly(length, bits):
+        return CycPoly(p, [CycInt(p, [rng.randint(-(2**bits), 2**bits) for _ in range(p - 1)]) for _ in range(length)])
+
+    for la, lb, bits in ((1, 1, 8), (1, 7, 8), (4, 9, 60), (9, 4, 3), (6, 6, 200)):
+        f, g = poly(la, bits), poly(lb, bits)
+        assert f * g == oracles.poly_mul_schoolbook(f, g), (la, lb, bits)
+        assert f.degree + g.degree == (f * g).degree
+    f = poly(3, 8)
+    assert f * CycPoly(p, ()) == CycPoly(p, ()) == CycPoly(p, ()) * f
+    assert f * 3 == 3 * f == oracles.poly_mul_schoolbook(f, CycPoly(p, (CycInt.from_int(p, 3),)))
+
+
 def test_poly_mixed_rings_rejected():
     with pytest.raises(RingMismatchError):
         phi(3) * phi(5)

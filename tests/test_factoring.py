@@ -1,5 +1,6 @@
 """Primality and factorization: exact exponents, honest leftovers, determinism."""
 
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from wreathcert import (
     is_prime,
     is_prime_certain,
 )
+from wreathcert.factoring import MAX_SIEVE_LIMIT, _trial_divide, primes_up_to
 
 M89 = 2**89 - 1  # Mersenne prime, above the deterministic range
 
@@ -59,6 +61,17 @@ def test_is_prime_rejects_strong_pseudoprimes(n):
     assert not is_prime_certain(n)
 
 
+def test_is_prime_rejects_carmichael_above_deterministic_range():
+    # (6k + 1)(12k + 1)(18k + 1) with all three factors prime is a Carmichael
+    # number, so a Fermat pseudoprime to base 2; the strong test still fails it
+    k = 13679106
+    n = (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+    assert n == 3317249643051242788534009 > DETERMINISTIC_LIMIT
+    assert all(is_prime(f) for f in (6 * k + 1, 12 * k + 1, 18 * k + 1))
+    assert pow(2, n - 1, n) == 1
+    assert not is_prime(n)
+
+
 def test_is_prime_above_deterministic_range():
     assert M89 > DETERMINISTIC_LIMIT
     assert is_prime(M89)
@@ -79,7 +92,6 @@ def test_factor_examples():
 
 def test_factor_sign_and_units():
     assert factor(-12) == factor(12)
-    assert factor(12).n == 12
     one = factor(1)
     assert one.factors == () and one.cofactor == 1
     assert factor(-1) == one
@@ -90,6 +102,50 @@ def test_factor_rejects_zero():
         factor(0)
     with pytest.raises(ValueError):
         factor(10, FactorConfig(trial_bound=1))
+
+
+def test_factor_rejects_trial_bound_past_sieve_cap():
+    assert factor(10, FactorConfig(trial_bound=MAX_SIEVE_LIMIT)).factors == ((2, 1), (5, 1))
+    with pytest.raises(ValueError, match=str(MAX_SIEVE_LIMIT)):
+        factor(10, FactorConfig(trial_bound=MAX_SIEVE_LIMIT + 1))
+    with pytest.raises(ValueError):
+        factor(10, FactorConfig(trial_bound=10**12))
+
+
+def test_primes_up_to_matches_trial_division():
+    for limit in (0, 1, 2, 3, 4, 5, 10**4):
+        want = [q for q in range(2, limit + 1) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+        assert list(primes_up_to(limit)) == want
+
+
+def naive_factors(m: int) -> dict[int, int]:
+    """Prime exponents of m >= 1 by dividing out every d >= 2 in turn."""
+    counts: dict[int, int] = {}
+    d = 2
+    while m > 1:
+        while m % d == 0:
+            counts[d] = counts.get(d, 0) + 1
+            m //= d
+        d += 1
+    return counts
+
+
+def test_trial_divide_and_factor_match_naive_factorization():
+    for m in range(1, 5001):
+        want = naive_factors(m)
+        assert factor(m) == Factorization(tuple(sorted(want.items())), 1), m
+        for bound in range(2, 61):
+            counts: dict[int, int] = {}
+            rest = _trial_divide(m, bound, counts)
+            # every prime it records is <= bound, with its exact exponent
+            assert all(q <= bound and want[q] == e for q, e in counts.items()), (m, bound)
+            assert rest * math.prod(q**e for q, e in counts.items()) == m, (m, bound)
+            # what is left is 1, a prime, or free of primes <= bound
+            left = {q: e for q, e in want.items() if q not in counts}
+            assert left == {rest: 1} or all(q > bound for q in left), (m, bound)
+    for bound in range(2, 61):
+        m = (bound + 1) ** 2  # a square just past the bound, prime or not
+        assert factor(m, FactorConfig(trial_bound=bound)) == factor(m), bound
 
 
 def test_factor_random_complete():
@@ -147,7 +203,8 @@ def test_factor_pending_prime_cofactor():
 
 def test_factor_orbit_norm_pending_cofactor():
     # |N(phi^5(1))| at p = 3: trial division finds 139, and the remaining
-    # 136-bit cofactor passes only the probabilistic test
+    # 136-bit cofactor is past DETERMINISTIC_LIMIT, where Miller-Rabin
+    # only calls it a probable prime
     f = factor(8050183582883899128838114506334853717591107)
     assert f.factors == ((139, 1),)
     assert f.cofactor == 57914989804920137617540392131905422428713
@@ -167,7 +224,7 @@ def test_factor_reconstruction_always():
 
 
 def test_factorization_value_type():
-    f = Factorization(6, ((2, 1), (3, 1)), 1)
+    f = Factorization(((2, 1), (3, 1)), 1)
     assert f == factor(6)
-    g = Factorization(6, ((2, 1), (3, 1)), 1)
+    g = Factorization(((2, 1), (3, 1)), 1)
     assert f == g
