@@ -30,7 +30,7 @@ from .congruence import expected_residue, wieferich_check
 from .cyclotomic import CycInt, require_odd_prime, require_ring_prime
 from .dynamics import orbit_points
 from .errors import SizeLimitError
-from .factoring import DETERMINISTIC_LIMIT, FactorConfig, factor, is_prime_certain
+from .factoring import DETERMINISTIC_LIMIT, FactorConfig, factor, is_prime_certain, require_factor_config
 
 SCHEMA = "wreath-cert/1"
 
@@ -119,8 +119,10 @@ def build_certificate(p: int, n: int, cfg: FactorConfig = FactorConfig()) -> Max
     For a Wieferich p no levels are computed (the proof route is closed
     regardless of witnesses) and the verdict is INDETERMINATE with an
     explanatory note.  Size-cap failures inside the orbit propagate as
-    SizeLimitError.
+    SizeLimitError.  cfg is validated first, so a bad trial bound is
+    refused for every p, Wieferich or not.
     """
+    require_factor_config(cfg)
     require_odd_prime(p)
     if n < 1:
         raise ValueError("need n >= 1")

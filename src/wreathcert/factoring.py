@@ -175,6 +175,13 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
     return None, used
 
 
+def require_factor_config(cfg: FactorConfig) -> FactorConfig:
+    """Validate cfg: 2 <= trial_bound <= MAX_SIEVE_LIMIT; return it."""
+    if not 2 <= cfg.trial_bound <= MAX_SIEVE_LIMIT:
+        raise ValueError(f"trial_bound must be in [2, {MAX_SIEVE_LIMIT}], got {cfg.trial_bound}")
+    return cfg
+
+
 def factor(n: int, cfg: FactorConfig = FactorConfig()) -> Factorization:
     """Factor |n| by trial division then seeded Brent rho.
 
@@ -182,8 +189,7 @@ def factor(n: int, cfg: FactorConfig = FactorConfig()) -> Factorization:
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    if not 2 <= cfg.trial_bound <= MAX_SIEVE_LIMIT:
-        raise ValueError(f"trial_bound must be in [2, {MAX_SIEVE_LIMIT}], got {cfg.trial_bound}")
+    require_factor_config(cfg)
     m = abs(n)
     counts: dict[int, int] = {}
     m = _trial_divide(m, cfg.trial_bound, counts)

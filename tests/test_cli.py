@@ -170,14 +170,17 @@ def test_certificate_rejects_oversized_non_wieferich_p(tmp_path, capsys):
 
 @pytest.mark.parametrize("bound", [MAX_SIEVE_LIMIT + 1, 10**12])
 def test_certificate_rejects_trial_bound_past_sieve_cap(tmp_path, capsys, bound):
-    # refused before a sieve of bound bytes is allocated
-    out_path = tmp_path / "c.json"
-    code, _, err = run_cli(
-        ["certificate", "--p", "3", "--max-n", "6", "--trial-bound", str(bound), "--out", str(out_path)], capsys
-    )
-    assert code == EXIT_USAGE
-    assert err == f"error: trial_bound must be in [2, {MAX_SIEVE_LIMIT}], got {bound}\n"
-    assert not out_path.exists()
+    # refused before a sieve of bound bytes is allocated, and for the
+    # Wieferich p = 1093 too, whose certificate never factors
+    for p, n in ((3, 6), (1093, 1)):
+        out_path = tmp_path / f"c{p}.json"
+        code, _, err = run_cli(
+            ["certificate", "--p", str(p), "--max-n", str(n), "--trial-bound", str(bound), "--out", str(out_path)],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert err == f"error: trial_bound must be in [2, {MAX_SIEVE_LIMIT}], got {bound}\n"
+        assert not out_path.exists()
 
 
 def test_certificate_unwritable_path(tmp_path, capsys):

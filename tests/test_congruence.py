@@ -20,7 +20,7 @@ from wreathcert import (
 )
 from wreathcert.congruence import MAX_LEVELS, PASS
 from wreathcert.dynamics import orbit_points, phi_at
-from wreathcert.factoring import MAX_SIEVE_LIMIT
+from wreathcert.factoring import MAX_SIEVE_LIMIT, primes_up_to
 
 
 def test_expected_residues():
@@ -137,6 +137,14 @@ def test_wieferich_rejects_non_primes():
         wieferich_check(4)
     with pytest.raises(ValueError):
         wieferich_check(2)
+
+
+@pytest.mark.parametrize("limit", [3, 5, 1093, 1094, 3511, 10**5])
+def test_wieferich_scan_matches_one_pow_per_prime(limit):
+    # 3 and 5 fill one short block, the first a block of a single prime;
+    # 1093 and 3511 end a scan on a Wieferich prime
+    want = [q for q in primes_up_to(limit) if q > 2 and pow(2, q - 1, q * q) == 1]
+    assert wieferich_scan(limit) == want
 
 
 def test_wieferich_scan_small():

@@ -166,6 +166,26 @@ def test_mul_matches_schoolbook_across_the_cutoff(p):
         assert CycInt(p, a) * CycInt(p, b) == CycInt(p, want)
 
 
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_mul_mod_matches_reduced_exact_product(p):
+    # the Kronecker kernel against the exact product reduced afterwards:
+    # all-(m - 1) operands fill a slot to its bound (p - 1)(m - 1)^2, which
+    # the last modulus puts just past 2^72, and a conjugate of a reduced
+    # tuple has negative entries, so those reach the kernel too
+    rng = random.Random(p)
+    for m in (1, p * p, 2**61 - 1, math.isqrt(2**72 // (p - 1)) + 2):
+        reduced = tuple(rng.randrange(m) for _ in range(p - 1))
+        cases = [
+            ((m - 1,) * (p - 1), (m - 1,) * (p - 1)),
+            (reduced, cyclotomic._conj(reduced, 2, p)),
+            (tuple(rng.randint(-(m**2), m**2) for _ in range(p - 1)), reduced),
+        ]
+        for a, b in cases:
+            for x, y in ((a, b), (a, a), (b, b)):
+                want = tuple(c % m for c in cyclotomic._mul(x, y, p))
+                assert cyclotomic._mul_mod(x, y, p, m) == want
+
+
 def test_int_operands():
     a = CycInt(3, (2, -1))
     assert a - 1 == CycInt(3, (1, -1))
