@@ -14,17 +14,14 @@ from .certificate import (
     certificate_problems,
     certificate_to_json,
     group_order,
-    verify_certificate,
 )
 from .congruence import (
     CongruenceItem,
     CongruenceReport,
-    WiefEquivalenceReport,
     expected_residue,
     general_congruence_check,
     is_pth_power_mod_p2,
     norm_congruence_check,
-    wief_equivalence_check,
     wieferich_check,
     wieferich_scan,
 )

@@ -9,10 +9,17 @@ iterate to be the full n-fold wreath product of C_p, of order
 p^((p^n - 1)/(p - 1)).
 
 A level records only its norm and its witness (q, e).  build_certificate
-finds the witness by factoring the norm.  verify_certificate never
+finds the witness by factoring the norm.  certificate_problems never
 factors: it recomputes every norm from phi along the orbit of 1, so each
 number it accepts is tied to phi, and re-checks the witness by a
 deterministic primality test and two exact divisions.
+
+No witness needs a "not found at an earlier level" check, because the
+levels are pairwise coprime (Lemma C).  If a prime Q of Z[zeta] divides
+phi^m(1) and phi^n(1) with m < n, then phi^n(1) = phi^(n-m)(phi^m(1)) =
+phi^(n-m)(0) = 1 - zeta mod Q, by the fixed-point facts, so Q is the
+prime above p.  But every norm is 2^p - 1 = 1 mod p, so that prime
+divides none of them.
 
 A failed witness search is reported as INDETERMINATE, never as a
 refutation: rational exponents all divisible by p does not force the
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import dataclass
 
 from .congruence import expected_residue, wieferich_check
@@ -88,6 +96,24 @@ def group_order(p: int, n: int) -> int:
     if n < 1:
         raise ValueError("need n >= 1")
     return p ** ((p**n - 1) // (p - 1))
+
+
+def require_printable_order(p: int, n: int) -> None:
+    """Raise SizeLimitError unless the group order of (p, n) can be written.
+
+    The order p^((p^n - 1)/(p - 1)) is written in decimal, so it must fit
+    Python's int-str digit limit; a limit of 0 means none.  It is never
+    formed past the limit: p^e >= 2^e, so an exponent above the bit length
+    of 10^limit is too large already, and _order_exponent stops there.
+    p must be an odd prime and n >= 1.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before Python 3.10.7
+    if not limit:
+        return
+    bound = 10**limit
+    exponent = _order_exponent(p, n, bound.bit_length())
+    if exponent is None or p**exponent >= bound:
+        raise SizeLimitError(f"the group order {p}^(({p}^{n} - 1)/{p - 1}) has more than {limit} decimal digits")
 
 
 def _exact_exponent(n: int, q: int) -> int:
@@ -280,11 +306,6 @@ def _power_exceeds(q: int, e: int, bound: int) -> bool:
     return e * (abs(q).bit_length() - 1) >= bound.bit_length()
 
 
-def verify_certificate(cert: MaximalityCertificate) -> bool:
-    """True iff every re-check in certificate_problems passes."""
-    return not certificate_problems(cert)
-
-
 # -- serialization ------------------------------------------------------
 #
 # Schema "wreath-cert/1": one JSON document; every possibly-large
@@ -351,7 +372,13 @@ def _parse_bigint(problems, value, where) -> int | None:
     return None
 
 
-def certificate_from_dict(data: dict) -> MaximalityCertificate:
+def certificate_from_json(text: str | bytes) -> MaximalityCertificate:
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, a bad encoding, an integer past the int-str digit
+        # limit, or nesting deeper than the recursion limit
+        raise CertificateFormatError([f"not valid JSON: {exc}"]) from exc
     problems: list[str] = []
     if not isinstance(data, dict):
         raise CertificateFormatError(["top level is not an object"])
@@ -415,11 +442,3 @@ def _level_from_dict(problems, item, where) -> LevelRecord | None:
     if None in (m, norm_abs, status):
         return None
     return LevelRecord(m=m, norm_abs=norm_abs, witness=witness, status=status)
-
-
-def certificate_from_json(text: str) -> MaximalityCertificate:
-    try:
-        data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the int-str digit limit
-        raise CertificateFormatError([f"not valid JSON: {exc}"]) from exc
-    return certificate_from_dict(data)

@@ -4,9 +4,10 @@ Every check is a subcommand with reproducible, machine-readable output;
 JSON is the source of truth and the human-readable text is a rendering
 of the same report object.
 
-Exit codes: 0 success/PASS, 1 a check ran and failed, 2 usage error,
-3 certificate verdict INDETERMINATE, 4 I/O error, 5 size cap exceeded
-(certificate only).
+Exit codes: 0 success/PASS, 1 a check ran and failed, 2 usage error or
+a malformed certificate file, 3 certificate verdict INDETERMINATE, 4 I/O
+error, 5 size cap exceeded (certificate only: the orbit's coefficient
+cap, or a group order or norm past Python's int-str digit limit).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .certificate import (
     certificate_from_json,
     certificate_problems,
     certificate_to_json,
+    require_printable_order,
 )
 from .congruence import FAIL, PASS, norm_congruence_check, require_max_levels, require_scan_limit, wieferich_scan
 from .cyclotomic import require_odd_prime, require_ring_prime
@@ -105,8 +107,9 @@ def cmd_wieferich(args) -> int:
 
 
 def cmd_certificate(args) -> int:
-    cfg = FactorConfig(trial_bound=args.trial_bound, rho_budget=args.rho_budget, rho_seed=args.seed)
+    cfg = FactorConfig(trial_bound=args.trial_bound, rho_seed=args.seed)
     try:
+        require_printable_order(args.p, args.max_n)
         cert = build_certificate(args.p, args.max_n, cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -131,13 +134,13 @@ def cmd_certificate(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        with open(args.infile, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(args.infile, "rb") as handle:
+            raw = handle.read()
     except OSError as exc:
         print(f"cannot read {args.infile}: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        cert = certificate_from_json(text)
+        cert = certificate_from_json(raw)
     except CertificateFormatError as exc:
         for problem in exc.problems:
             print(f"malformed certificate: {problem}", file=sys.stderr)
@@ -152,11 +155,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_structure(args) -> int:
-    reports = [
-        eisenstein_check(args.p, args.n),
-        fixed_point_check(args.p, args.n),
-        orbit_congruence_check(args.p, args.n),
-    ]
+    reports = [eisenstein_check(args.p), fixed_point_check(args.p), orbit_congruence_check(args.p)]
     print(f"structure checks for p={args.p}, n={args.n}")
     for report in reports:
         print(f"  {report.check:<18} {report.status}")
@@ -194,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--p", type=_odd_prime, required=True)
     p_cert.add_argument("--max-n", type=_positive, required=True)
     p_cert.add_argument("--trial-bound", type=_positive, default=FactorConfig.trial_bound)
-    p_cert.add_argument("--rho-budget", type=_positive, default=FactorConfig.rho_budget)
     p_cert.add_argument("--seed", type=int, default=FactorConfig.rho_seed)
     p_cert.add_argument("--out", required=True, metavar="FILE")
     p_cert.set_defaults(func=cmd_certificate)

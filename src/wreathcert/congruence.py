@@ -17,10 +17,11 @@ only phi(x) reduced.
 Wieferich primes (2^(p-1) = 1 mod p^2) are the one hypothesis the
 certificate pipeline cannot discharge.  wieferich_check tests one p;
 wieferich_scan tests a block of primes per pow, modulo the product of
-their squares.  wief_equivalence_check ties the Wieferich condition to
-2^p - 1 being a p-th power mod p^2.  The tests compare the scan with one
-pow per prime, and the fast p-th-power criterion with brute-force
-enumeration.
+their squares.  is_pth_power_mod_p2 decides p-th powers mod p^2: p is
+Wieferich exactly when the norm residue 2^p - 1 is one, so only then can
+the congruence not rule out p-th-power norms.  The tests check that
+equivalence, compare the scan with one pow per prime, and compare the
+p-th-power criterion with brute-force enumeration.
 """
 
 from __future__ import annotations
@@ -197,19 +198,3 @@ def is_pth_power_mod_p2(a: int, p: int) -> bool:
         return a == 0
     return pow(a, p - 1, p * p) == 1
 
-
-@dataclass(frozen=True)
-class WiefEquivalenceReport:
-    """Wieferich condition versus p-th-power condition on 2^p - 1."""
-
-    p: int
-    wieferich: bool
-    pth_power: bool
-    passed: bool
-
-
-def wief_equivalence_check(p: int) -> WiefEquivalenceReport:
-    """Check: p Wieferich iff 2^p - 1 is a p-th power mod p^2."""
-    wief = wieferich_check(p)
-    pth = is_pth_power_mod_p2(expected_residue(p), p)
-    return WiefEquivalenceReport(p=p, wieferich=wief, pth_power=pth, passed=wief == pth)

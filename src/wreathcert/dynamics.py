@@ -262,9 +262,11 @@ class StructureReport:
 
     check: str
     p: int
-    limit: int
-    passed: bool
     failures: tuple[str, ...] = ()
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     @property
     def status(self) -> str:
@@ -282,7 +284,7 @@ def _phi_fixes_pi(f: CycPoly, p: int) -> list[str]:
     return failures
 
 
-def eisenstein_check(p: int, n: int) -> StructureReport:
+def eisenstein_check(p: int) -> StructureReport:
     """Check phi^n is Eisenstein at the prime above p, from phi alone.
 
     phi must be monic of degree p with every basis coordinate of its
@@ -290,11 +292,8 @@ def eisenstein_check(p: int, n: int) -> StructureReport:
     mod p, and by induction with Frobenius phi^n = z^(p^n) + phi^n(0)
     mod p; phi^n is monic, and its constant term phi^n(0) is exactly
     1 - zeta when phi(0) = 1 - zeta = phi(1 - zeta).  The verdict holds
-    for every n; n is validated and echoed.
+    for every n.
     """
-    require_ring_prime(p)
-    if n < 1:
-        raise ValueError("need n >= 1")
     f = phi(p)
     failures = []
     if f.degree != p or f.leading_coefficient() != 1:
@@ -303,33 +302,26 @@ def eisenstein_check(p: int, n: int) -> StructureReport:
         if any(c % p for c in f.coeffs[i].coeffs):
             failures.append(f"coefficient of z^{i} is not divisible by {p}")
     failures += _phi_fixes_pi(f, p)
-    return StructureReport("eisenstein", p, n, not failures, tuple(failures))
+    return StructureReport("eisenstein", p, tuple(failures))
 
 
-def fixed_point_check(p: int, s_max: int) -> StructureReport:
+def fixed_point_check(p: int) -> StructureReport:
     """Check that 1 - zeta absorbs the orbit of 0.
 
     phi(0) = 1 - zeta and phi(1 - zeta) = 1 - zeta give phi^s(0) = 1 - zeta
-    for every s >= 1 by induction; s_max is validated and echoed.
+    for every s >= 1 by induction.
     """
-    require_ring_prime(p)
-    if s_max < 1:
-        raise ValueError("need s_max >= 1")
-    failures = _phi_fixes_pi(phi(p), p)
-    return StructureReport("fixed_point", p, s_max, not failures, tuple(failures))
+    return StructureReport("fixed_point", p, tuple(_phi_fixes_pi(phi(p), p)))
 
 
-def orbit_congruence_check(p: int, t_max: int) -> StructureReport:
+def orbit_congruence_check(p: int) -> StructureReport:
     """Check phi^t(1) stays congruent to 1 mod (1 - zeta), for every t.
 
     phi has coefficients in Z[zeta], so x = 1 mod (1 - zeta) gives
     phi(x) = phi(1) mod (1 - zeta); phi(1) = 1 mod (1 - zeta) then carries
-    the congruence along the whole orbit.  t_max is validated and echoed.
+    the congruence along the whole orbit.
     """
-    require_ring_prime(p)
-    if t_max < 0:
-        raise ValueError("need t_max >= 0")
     failures = []
     if not phi(p)(CycInt.one(p)).congruent_mod_pi(1):
         failures.append("phi(1) is not congruent to 1 mod (1 - zeta)")
-    return StructureReport("orbit_congruence", p, t_max, not failures, tuple(failures))
+    return StructureReport("orbit_congruence", p, tuple(failures))

@@ -6,9 +6,11 @@ class RingMismatchError(ValueError):
 
 
 class SizeLimitError(RuntimeError):
-    """A computation exceeded its configured size cap.
+    """A computation would exceed a fixed size cap.
 
-    Raised by the iteration routines as a resource guard; coefficient
-    heights grow roughly like the p-th power per step, so hitting the
-    cap is expected behaviour for large inputs, not a bug.
+    Raised as a resource guard by the exact orbit walk (MAX_COEFF_BITS:
+    coefficient heights grow roughly like the p-th power per step), by the
+    expanded iterate (MAX_POLY_COEFFS), and for a group order past Python's
+    int-str digit limit.  Hitting a cap is expected for large inputs, not a
+    bug.
     """

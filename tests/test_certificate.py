@@ -1,7 +1,10 @@
 """Certificate assembly, independent re-verification, serialization."""
 
+import contextlib
 import dataclasses
 import json
+import math
+import sys
 
 import pytest
 
@@ -14,16 +17,19 @@ from wreathcert import (
     SCHEMA,
     WITNESS_FOUND,
     CertificateFormatError,
+    CycInt,
     FactorConfig,
+    SizeLimitError,
     build_certificate,
     certificate_from_json,
     certificate_problems,
     certificate_to_json,
     group_order,
     is_prime,
-    verify_certificate,
+    one_minus_zeta,
+    orbit_points,
 )
-from wreathcert.certificate import certificate_to_dict
+from wreathcert.certificate import certificate_to_dict, require_printable_order
 
 P3_WITNESSES = [(7, 1), (43, 1), (11, 2), (1429, 1), (139, 1)]
 P3_LEVEL5_NORM = 8050183582883899128838114506334853717591107  # 139 * a 136-bit prime
@@ -42,6 +48,50 @@ def test_group_order_values():
 def test_group_order_matches_recursion(p, n_top):
     for n in range(1, n_top + 1):
         assert group_order(p, n) == oracles.group_order_recursive(p, n)
+
+
+@contextlib.contextmanager
+def int_max_str_digits(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
+def test_printable_order_follows_the_int_str_limit():
+    digits = len(str(group_order(3, 8)))  # 3^3280 has 1566 digits
+    with int_max_str_digits(digits):
+        require_printable_order(3, 8)
+    with int_max_str_digits(digits - 1):
+        with pytest.raises(SizeLimitError, match=f"more than {digits - 1} decimal digits"):
+            require_printable_order(3, 8)
+    with int_max_str_digits(4300):
+        require_printable_order(1093, 2)  # 3325 digits
+        for p, n in ((3, 9), (1093, 3), (1093, 4), (1093, 10**6)):
+            with pytest.raises(SizeLimitError):
+                require_printable_order(p, n)
+    with int_max_str_digits(0):  # no limit
+        require_printable_order(1093, 4)
+
+
+@pytest.mark.parametrize("p,n", [(3, 6), (5, 3), (7, 3), (11, 2), (13, 2)])
+def test_levels_are_pairwise_coprime(p, n):
+    # Lemma C: phi^m(1) divides phi^k(1) - (1 - zeta) for m < k, so a prime
+    # dividing two levels divides 1 - zeta, and no norm is divisible by p.
+    # x divides y when every coordinate of y * x* is divisible by N(x),
+    # where x* is the product of the conjugates of x other than x itself.
+    points = list(orbit_points(p, CycInt.one(p), n))
+    pi = one_minus_zeta(p)
+    for m, x in enumerate(points[:-1], 1):
+        norm = x.norm()
+        assert norm % p == 1
+        x_star = math.prod((x.conjugate(k) for k in range(2, p)), start=CycInt.one(p))
+        for k, later in enumerate(points[m:], m + 1):
+            assert all(c % norm == 0 for c in ((later - pi) * x_star).coeffs), (m, k)
+            assert math.gcd(norm, later.norm()) == 1
 
 
 def test_level_witness_p3_first_levels():
@@ -76,14 +126,14 @@ def test_build_certificate_p3():
     assert not cert.wieferich
     assert [rec.witness for rec in cert.levels] == P3_WITNESSES[:3]
     assert cert.group_order_claimed == group_order(3, 3)
-    assert verify_certificate(cert)
+    assert certificate_problems(cert) == []
 
 
 def test_build_certificate_p5():
     cert = build_certificate(5, 1)
     assert cert.verdict == MAXIMAL
     assert cert.levels[0].witness == (31, 1)  # 2^5 - 1 is prime
-    assert verify_certificate(cert)
+    assert certificate_problems(cert) == []
 
 
 def test_build_certificate_wieferich():
@@ -93,7 +143,7 @@ def test_build_certificate_wieferich():
     assert cert.levels == ()
     assert cert.note  # explanatory note travels with the verdict
     assert cert.group_order_claimed == 1093 ** (1093 + 1)
-    assert verify_certificate(cert)
+    assert certificate_problems(cert) == []
 
 
 def test_monotone_consistency():
@@ -124,7 +174,7 @@ def tamper_level(cert, index, **changes):
 def test_verify_rejects_tampered_witness_exponent():
     cert = build_certificate(3, 3)
     bad = tamper_level(cert, 2, witness=(11, 3))  # tampered 2 -> 3
-    assert not verify_certificate(bad)
+    assert certificate_problems(bad)
 
 
 def test_verify_rejects_pth_power_exponent_rule():
@@ -140,7 +190,7 @@ def test_verify_rejects_pth_power_exponent_rule():
 def test_verify_rejects_wrong_group_order():
     cert = build_certificate(3, 2)
     bad = dataclasses.replace(cert, group_order_claimed=cert.group_order_claimed * 3)
-    assert not verify_certificate(bad)
+    assert certificate_problems(bad)
 
 
 def test_verify_rejects_composite_witness():
@@ -170,7 +220,7 @@ def test_verify_rejects_wrong_residue():
 def test_verify_rejects_flipped_wieferich_flag():
     cert = build_certificate(3, 2)
     bad = dataclasses.replace(cert, wieferich=True)
-    assert not verify_certificate(bad)
+    assert certificate_problems(bad)
 
 
 def test_verify_rejects_missing_level():
@@ -267,7 +317,7 @@ def test_large_points_are_fingerprinted_before_the_exact_norm(monkeypatch):
     monkeypatch.setattr(certificate, "_FINGERPRINT_BITS", 0)
     # count exact norms only; the fingerprint calls norm(q)
     monkeypatch.setattr(CycInt, "norm", lambda x, m=None: (m is None and exact.append(x)) or norm(x, m))
-    assert verify_certificate(honest)
+    assert certificate_problems(honest) == []
     assert len(exact) == 5
     exact.clear()
     data = certificate_to_dict(honest)
@@ -314,14 +364,14 @@ PARENT_P3_N2 = (
 def test_older_documents_still_verify():
     cert = certificate_from_json(PARENT_P3_N2)
     assert cert == build_certificate(3, 2)
-    assert verify_certificate(cert)
+    assert certificate_problems(cert) == []
 
 
 @pytest.mark.parametrize("level", [0, 1])
 def test_retired_factorization_is_ignored(level):
     data = json.loads(PARENT_P3_N2)
     data["levels"][level]["factorization"] = {"factors": [["2", "99"]], "cofactor": "0", "cofactor_status": "?"}
-    assert verify_certificate(certificate_from_json(json.dumps(data)))
+    assert certificate_problems(certificate_from_json(json.dumps(data))) == []
 
 
 # -- serialization ---------------------------------------------------------
@@ -378,4 +428,4 @@ def test_parse_accepts_tampered_but_wellformed():
     data = certificate_to_dict(build_certificate(3, 3))
     data["levels"][2]["witness"] = ["11", "3"]
     cert = certificate_from_json(json.dumps(data))
-    assert not verify_certificate(cert)
+    assert certificate_problems(cert)

@@ -211,6 +211,19 @@ def test_verify_bad_json(tmp_path, capsys):
     assert "malformed" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"[" * 200_000 + b"]" * 200_000, b"\xff\xfe", b'{"p": "\xff"}'],
+    ids=["deep nesting", "utf-16 bom", "invalid utf-8"],
+)
+def test_verify_unreadable_document_is_malformed(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, _, err = run_cli(["verify", "--in", str(bad)], capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("malformed certificate: not valid JSON")
+
+
 def _set_witness_exponent(doc):
     doc["levels"][0]["witness"][1] = str(10**12)
 
@@ -307,8 +320,11 @@ def test_verify_oversized_integer_is_malformed(tmp_path, capsys):
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
-def test_certificate_past_int_str_limit_exits_cap(tmp_path, capsys):
-    # the group order 1093^1094 has 3325 decimal digits
+def test_certificate_past_int_str_limit_exits_cap(monkeypatch, tmp_path, capsys):
+    # the backstop when writing the file meets an integer past the limit:
+    # the group order 1093^1094 has 3325 decimal digits, and the check made
+    # before any work is switched off so that the order reaches the writer
+    monkeypatch.setattr("wreathcert.cli.require_printable_order", lambda p, n: None)
     out_path = tmp_path / "w.json"
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
@@ -319,6 +335,27 @@ def test_certificate_past_int_str_limit_exits_cap(tmp_path, capsys):
     assert code == EXIT_CAP
     assert "size cap exceeded" in err
     assert not out_path.exists()
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
+@pytest.mark.parametrize("p,n", [(1093, 4), (3, 9)])
+def test_certificate_order_past_int_str_limit_exits_cap_at_once(tmp_path, capsys, p, n):
+    # 1093^((1093^4 - 1)/1092) has about 4 * 10^9 digits and 3^9841 has 4696:
+    # refused before the order, an orbit point or a factorization is formed
+    out_path = tmp_path / "c.json"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        started = time.perf_counter()
+        code, _, err = run_cli(["certificate", "--p", str(p), "--max-n", str(n), "--out", str(out_path)], capsys)
+        assert time.perf_counter() - started < 0.5
+        code2, _, _ = run_cli(["certificate", "--p", "1093", "--max-n", "2", "--out", str(tmp_path / "w.json")], capsys)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == EXIT_CAP
+    assert err == f"size cap exceeded: the group order {p}^(({p}^{n} - 1)/{p - 1}) has more than 4300 decimal digits\n"
+    assert not out_path.exists()
+    assert code2 == EXIT_INDETERMINATE  # 1093^1094 has 3325 digits
 
 
 def test_certificate_coefficient_cap_exits_cap(monkeypatch, tmp_path, capsys):

@@ -14,7 +14,6 @@ from wreathcert import (
     norm_congruence_check,
     one_minus_zeta,
     phi,
-    wief_equivalence_check,
     wieferich_check,
     wieferich_scan,
 )
@@ -187,14 +186,14 @@ def test_pth_power_accepts_huge_inputs():
 
 
 def test_wief_equivalence_small():
-    r3 = wief_equivalence_check(3)
-    assert not r3.wieferich and not r3.pth_power and r3.passed
+    for p in (3, 5):
+        assert not wieferich_check(p)
+        assert not is_pth_power_mod_p2(expected_residue(p), p)
     assert 7 not in pth_power_residues_mod_p2(3)  # 2^3 - 1 mod 9
-    r5 = wief_equivalence_check(5)
-    assert not r5.pth_power  # 31 mod 25 = 6 is not a fifth power
-    assert r5.passed
+    assert 6 not in pth_power_residues_mod_p2(5)  # 31 mod 25 is not a fifth power
 
 
 def test_wief_equivalence_wieferich_case():
-    report = wief_equivalence_check(1093)
-    assert report.wieferich and report.pth_power and report.passed
+    for p in (1093, 3511):
+        assert wieferich_check(p)
+        assert is_pth_power_mod_p2(expected_residue(p), p)

@@ -201,21 +201,22 @@ def test_poly_mixed_rings_rejected():
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1)])
 def test_eisenstein_small(p, n):
-    report = eisenstein_check(p, n)
+    report = eisenstein_check(p)
     assert report.passed
     assert report.status == "PASS"
     assert report.failures == ()
+    assert oracles.expanded_eisenstein_failures(p, n) == []
 
 
 def test_fixed_point_small():
     for p in (3, 7):
-        report = fixed_point_check(p, 3)
+        report = fixed_point_check(p)
         assert report.passed, report.failures
 
 
 def test_orbit_congruence_small():
     for p in (3, 5):
-        report = orbit_congruence_check(p, 3)
+        report = orbit_congruence_check(p)
         assert report.passed, report.failures
 
 
@@ -232,27 +233,14 @@ def test_structure_checks_match_oracles(p, n):
     # the expanded iterate and the orbit walks settle level n directly;
     # the checks settle every level at once from phi
     for check, oracle_failures in ORACLE_OF.items():
-        report = check(p, n)
-        assert report.limit == n
-        assert report.passed == (oracle_failures(p, n) == [])
-
-
-def test_structure_checks_do_not_depend_on_n():
-    for check in ORACLE_OF:
-        small, huge = check(101, 1), check(101, 10**6)
-        assert small.passed and huge.passed
-        assert huge.limit == 10**6 and huge.failures == small.failures
+        assert check(p).passed == (oracle_failures(p, n) == [])
 
 
 def test_structure_checks_validate():
-    with pytest.raises(ValueError):
-        eisenstein_check(3, 0)
-    with pytest.raises(ValueError):
-        fixed_point_check(3, 0)
-    with pytest.raises(ValueError):
-        orbit_congruence_check(3, -1)
-    with pytest.raises(ValueError):
-        eisenstein_check(103, 1)
+    for check in ORACLE_OF:
+        for p in (1, 9, 103):
+            with pytest.raises(ValueError):
+                check(p)
 
 
 def broken_phi(p, index, delta):
@@ -277,8 +265,8 @@ BROKEN_PHI = [
 def test_structure_checks_refute_broken_phi(monkeypatch, index, delta, check, message):
     bad = broken_phi(5, index, delta)
     monkeypatch.setattr("wreathcert.dynamics.phi", lambda p: bad)
-    report = check(5, 1)
-    assert report.status == "REFUTED"
+    report = check(5)
+    assert report.status == "REFUTED" and not report.passed
     assert message in report.failures
     assert ORACLE_OF[check](5, 1)  # the oracle sees the same polynomial fail
 
