@@ -98,16 +98,36 @@ def group_order(p: int, n: int) -> int:
     return p ** ((p**n - 1) // (p - 1))
 
 
+def require_certificate_input(p: int, n: int, cfg: FactorConfig) -> None:
+    """Raise ValueError unless build_certificate accepts (p, n, cfg).
+
+    cfg must be valid for every p, Wieferich or not; p must be an odd
+    prime, and at most MAX_RING_PRIME unless it is Wieferich (no levels
+    are computed then); n must be at least 1.
+    """
+    require_factor_config(cfg)
+    require_odd_prime(p)
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if not wieferich_check(p):
+        require_ring_prime(p)
+
+
+def _int_str_limit() -> int:
+    """Python's int-str digit limit; 0 means none, as before Python 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def require_printable_order(p: int, n: int) -> None:
     """Raise SizeLimitError unless the group order of (p, n) can be written.
 
     The order p^((p^n - 1)/(p - 1)) is written in decimal, so it must fit
-    Python's int-str digit limit; a limit of 0 means none.  It is never
-    formed past the limit: p^e >= 2^e, so an exponent above the bit length
-    of 10^limit is too large already, and _order_exponent stops there.
-    p must be an odd prime and n >= 1.
+    Python's int-str digit limit.  It is never formed past the limit:
+    p^e >= 2^e, so an exponent above the bit length of 10^limit is too
+    large already, and _order_exponent stops there.  p must be an odd
+    prime and n >= 1.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before Python 3.10.7
+    limit = _int_str_limit()
     if not limit:
         return
     bound = 10**limit
@@ -129,6 +149,9 @@ def _level_record(p: int, m: int, point: CycInt, cfg: FactorConfig) -> LevelReco
     if norm <= 0:
         # the ring degree p-1 is even, so norms of nonzero elements are positive
         raise AssertionError(f"norm of level {m} is not positive: {norm}")
+    limit = _int_str_limit()
+    if limit and norm >= 10**limit:  # it could not be written, so it is not factored
+        raise SizeLimitError(f"the norm of level {m} has more than {limit} decimal digits")
     fac = factor(norm, cfg)
     witness = None
     for q, _ in fac.factors:
@@ -144,14 +167,11 @@ def build_certificate(p: int, n: int, cfg: FactorConfig = FactorConfig()) -> Max
 
     For a Wieferich p no levels are computed (the proof route is closed
     regardless of witnesses) and the verdict is INDETERMINATE with an
-    explanatory note.  Size-cap failures inside the orbit propagate as
-    SizeLimitError.  cfg is validated first, so a bad trial bound is
-    refused for every p, Wieferich or not.
+    explanatory note.  Size-cap failures inside the orbit, and a norm past
+    Python's int-str digit limit, propagate as SizeLimitError.  The input
+    is checked first by require_certificate_input.
     """
-    require_factor_config(cfg)
-    require_odd_prime(p)
-    if n < 1:
-        raise ValueError("need n >= 1")
+    require_certificate_input(p, n, cfg)
     if wieferich_check(p):
         return MaximalityCertificate(
             p=p,
@@ -162,7 +182,6 @@ def build_certificate(p: int, n: int, cfg: FactorConfig = FactorConfig()) -> Max
             verdict=INDETERMINATE,
             note=WIEFERICH_NOTE,
         )
-    require_ring_prime(p)
     levels = []
     for m, point in enumerate(orbit_points(p, CycInt.one(p), n), 1):
         levels.append(_level_record(p, m, point, cfg))
@@ -308,68 +327,59 @@ def _power_exceeds(q: int, e: int, bound: int) -> bool:
 
 # -- serialization ------------------------------------------------------
 #
-# Schema "wreath-cert/1": one JSON document; every possibly-large
-# integer (norms, primes, exponents, group order) is a decimal string so
-# no consumer silently truncates at 64 bits.  Level keys other than m,
-# norm_abs, witness and status are ignored, so documents that still carry
-# the retired factorization, norm_mod_p2, unit_check and p_coprime_check
-# parse and verify.
+# Schema "wreath-cert/1" is the two tables below, one per record: each maps
+# a field, named as in the dataclass and in JSON, to its JSON kind, and the
+# writer and the reader both walk them.  A kind is the type json gives (an
+# int is never a bool), or _DECIMAL: an integer of any size written as a
+# decimal string, so no consumer silently truncates at 64 bits.  Besides
+# the tables, a certificate holds its schema tag, its levels and a note
+# (string or null), and a level its witness (null or a pair of decimal
+# strings [q, e]).  Other level keys are ignored, so documents that still
+# carry the retired factorization, norm_mod_p2, unit_check and
+# p_coprime_check parse and verify.
+
+_DECIMAL = "a decimal-string integer"
+_KIND_NAMES = {int: "an integer", bool: "a boolean", str: "a string", _DECIMAL: _DECIMAL}
+_CERTIFICATE_FIELDS = {"p": int, "n": int, "wieferich": bool, "group_order_claimed": _DECIMAL, "verdict": str}
+_LEVEL_FIELDS = {"m": int, "norm_abs": _DECIMAL, "status": str}
+
+
+def _write_fields(table: dict, record) -> dict:
+    return {key: str(getattr(record, key)) if kind is _DECIMAL else getattr(record, key) for key, kind in table.items()}
 
 
 def certificate_to_dict(cert: MaximalityCertificate) -> dict:
-    return {
-        "schema": SCHEMA,
-        "p": cert.p,
-        "n": cert.n,
-        "wieferich": cert.wieferich,
-        "levels": [_level_to_dict(rec) for rec in cert.levels],
-        "group_order_claimed": str(cert.group_order_claimed),
-        "verdict": cert.verdict,
-        "note": cert.note,
-    }
-
-
-def _level_to_dict(rec: LevelRecord) -> dict:
-    return {
-        "m": rec.m,
-        "norm_abs": str(rec.norm_abs),
-        "witness": [str(rec.witness[0]), str(rec.witness[1])] if rec.witness else None,
-        "status": rec.status,
-    }
+    levels = [
+        dict(_write_fields(_LEVEL_FIELDS, rec), witness=[str(v) for v in rec.witness] if rec.witness else None)
+        for rec in cert.levels
+    ]
+    return dict(_write_fields(_CERTIFICATE_FIELDS, cert), schema=SCHEMA, levels=levels, note=cert.note)
 
 
 def certificate_to_json(cert: MaximalityCertificate) -> str:
     return json.dumps(certificate_to_dict(cert), sort_keys=True, indent=2) + "\n"
 
 
-def _want(problems, obj, key, kinds, where):
-    if not isinstance(obj, dict) or key not in obj:
-        problems.append(f"{where}: missing field {key!r}")
+def _decimal(value) -> int | None:
+    try:
+        return int(value, 10) if isinstance(value, str) else None
+    except ValueError:
         return None
-    value = obj[key]
-    if kinds is bool:
-        if not isinstance(value, bool):
-            problems.append(f"{where}: field {key!r} must be a boolean")
-            return None
-    elif kinds is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            problems.append(f"{where}: field {key!r} must be an integer")
-            return None
-    elif kinds is str:
-        if not isinstance(value, str):
-            problems.append(f"{where}: field {key!r} must be a string")
-            return None
-    return value
 
 
-def _parse_bigint(problems, value, where) -> int | None:
-    if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            pass
-    problems.append(f"{where}: expected a decimal-string integer, got {value!r}")
-    return None
+def _read_fields(problems: list[str], table: dict, obj: dict, where: str) -> dict:
+    """The table's fields of obj as values; each one missing or of another kind is a problem."""
+    values = {}
+    for key, kind in table.items():
+        if key not in obj:
+            problems.append(f"{where}: missing field {key!r}")
+            continue
+        raw = obj[key]
+        value = _decimal(raw) if kind is _DECIMAL else raw if type(raw) is kind else None
+        if value is None:
+            problems.append(f"{where}: field {key!r} must be {_KIND_NAMES[kind]}")
+        values[key] = value
+    return values
 
 
 def certificate_from_json(text: str | bytes) -> MaximalityCertificate:
@@ -379,66 +389,31 @@ def certificate_from_json(text: str | bytes) -> MaximalityCertificate:
         # JSONDecodeError, a bad encoding, an integer past the int-str digit
         # limit, or nesting deeper than the recursion limit
         raise CertificateFormatError([f"not valid JSON: {exc}"]) from exc
-    problems: list[str] = []
     if not isinstance(data, dict):
         raise CertificateFormatError(["top level is not an object"])
+    problems: list[str] = []
     if data.get("schema") != SCHEMA:
         problems.append(f"schema is {data.get('schema')!r}, expected {SCHEMA!r}")
-    p = _want(problems, data, "p", int, "certificate")
-    n = _want(problems, data, "n", int, "certificate")
-    wief = _want(problems, data, "wieferich", bool, "certificate")
-    verdict = _want(problems, data, "verdict", str, "certificate")
-    order_raw = _want(problems, data, "group_order_claimed", str, "certificate")
-    order = _parse_bigint(problems, order_raw, "group_order_claimed") if order_raw is not None else None
+    fields = _read_fields(problems, _CERTIFICATE_FIELDS, data, "certificate")
     note = data.get("note")
     if note is not None and not isinstance(note, str):
-        problems.append("note must be a string or null")
-    levels_raw = data.get("levels")
-    if not isinstance(levels_raw, list):
-        problems.append("levels must be a list")
-        levels_raw = []
-    levels = []
-    for idx, item in enumerate(levels_raw):
-        rec = _level_from_dict(problems, item, f"levels[{idx}]")
-        if rec is not None:
-            levels.append(rec)
+        problems.append("certificate: field 'note' must be a string or null")
+    levels = data.get("levels")
+    if not isinstance(levels, list):
+        problems.append("certificate: field 'levels' must be a list")
+        levels = []
+    records = []
+    for idx, item in enumerate(levels):
+        where = f"levels[{idx}]"
+        if not isinstance(item, dict):
+            problems.append(f"{where}: not an object")
+            continue
+        witness = item.get("witness")
+        if witness is not None:
+            witness = tuple(map(_decimal, witness)) if isinstance(witness, list) and len(witness) == 2 else None
+            if witness is None or None in witness:
+                problems.append(f"{where}: witness must be null or a pair of decimal strings")
+        records.append(dict(_read_fields(problems, _LEVEL_FIELDS, item, where), witness=witness))
     if problems:
         raise CertificateFormatError(problems)
-    return MaximalityCertificate(
-        p=p,
-        n=n,
-        wieferich=wief,
-        levels=tuple(levels),
-        group_order_claimed=order,
-        verdict=verdict,
-        note=note,
-    )
-
-
-def _level_from_dict(problems, item, where) -> LevelRecord | None:
-    if not isinstance(item, dict):
-        problems.append(f"{where}: not an object")
-        return None
-    m = _want(problems, item, "m", int, where)
-    norm_raw = _want(problems, item, "norm_abs", str, where)
-    norm_abs = _parse_bigint(problems, norm_raw, where) if norm_raw is not None else None
-    status = _want(problems, item, "status", str, where)
-
-    witness = None
-    wraw = item.get("witness")
-    if wraw is not None:
-        if (
-            isinstance(wraw, list)
-            and len(wraw) == 2
-            and all(isinstance(v, str) for v in wraw)
-        ):
-            q = _parse_bigint(problems, wraw[0], f"{where}.witness")
-            e = _parse_bigint(problems, wraw[1], f"{where}.witness")
-            if q is not None and e is not None:
-                witness = (q, e)
-        else:
-            problems.append(f"{where}: witness must be null or a pair of decimal strings")
-
-    if None in (m, norm_abs, status):
-        return None
-    return LevelRecord(m=m, norm_abs=norm_abs, witness=witness, status=status)
+    return MaximalityCertificate(levels=tuple(LevelRecord(**rec) for rec in records), note=note, **fields)

@@ -24,6 +24,7 @@ from .certificate import (
     certificate_from_json,
     certificate_problems,
     certificate_to_json,
+    require_certificate_input,
     require_printable_order,
 )
 from .congruence import FAIL, PASS, norm_congruence_check, require_max_levels, require_scan_limit, wieferich_scan
@@ -109,6 +110,7 @@ def cmd_wieferich(args) -> int:
 def cmd_certificate(args) -> int:
     cfg = FactorConfig(trial_bound=args.trial_bound, rho_seed=args.seed)
     try:
+        require_certificate_input(args.p, args.max_n, cfg)
         require_printable_order(args.p, args.max_n)
         cert = build_certificate(args.p, args.max_n, cfg)
     except ValueError as exc:

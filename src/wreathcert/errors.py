@@ -10,7 +10,7 @@ class SizeLimitError(RuntimeError):
 
     Raised as a resource guard by the exact orbit walk (MAX_COEFF_BITS:
     coefficient heights grow roughly like the p-th power per step), by the
-    expanded iterate (MAX_POLY_COEFFS), and for a group order past Python's
-    int-str digit limit.  Hitting a cap is expected for large inputs, not a
-    bug.
+    expanded iterate (MAX_POLY_COEFFS), and for a group order or a level's
+    norm past Python's int-str digit limit (a norm before it is factored).
+    Hitting a cap is expected for large inputs, not a bug.
     """

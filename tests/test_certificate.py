@@ -394,27 +394,121 @@ def test_json_schema_fields():
     assert level == {"m": 1, "norm_abs": "7", "witness": ["7", "1"], "status": WITNESS_FOUND}
 
 
+# The whole certificate_to_json output: key order, indent, and which integers
+# are decimal strings are part of the schema.
+GOLDEN_P3_N3 = """\
+{
+  "group_order_claimed": "1594323",
+  "levels": [
+    {
+      "m": 1,
+      "norm_abs": "7",
+      "status": "WITNESS_FOUND",
+      "witness": [
+        "7",
+        "1"
+      ]
+    },
+    {
+      "m": 2,
+      "norm_abs": "43",
+      "status": "WITNESS_FOUND",
+      "witness": [
+        "43",
+        "1"
+      ]
+    },
+    {
+      "m": 3,
+      "norm_abs": "58201",
+      "status": "WITNESS_FOUND",
+      "witness": [
+        "11",
+        "2"
+      ]
+    }
+  ],
+  "n": 3,
+  "note": null,
+  "p": 3,
+  "schema": "wreath-cert/1",
+  "verdict": "MAXIMAL",
+  "wieferich": false
+}
+"""
+
+GOLDEN_P1093_N1 = """\
+{
+  "group_order_claimed": "1093",
+  "levels": [],
+  "n": 1,
+  "note": "p is a Wieferich prime, so the norm congruence no longer rules out p-th-power norms and no witness \
+search was attempted; maximality is expected but not certified in this case",
+  "p": 1093,
+  "schema": "wreath-cert/1",
+  "verdict": "INDETERMINATE",
+  "wieferich": true
+}
+"""
+
+
+def test_json_output_is_byte_stable():
+    assert certificate_to_json(build_certificate(3, 3)) == GOLDEN_P3_N3
+    assert certificate_to_json(build_certificate(1093, 1)) == GOLDEN_P1093_N1
+
+
+def _delete(key):
+    return lambda record: record.pop(key)
+
+
+def _set(key, value):
+    return lambda record: record.update({key: value})
+
+
+# one edit per field of the schema: each field missing, and each of another JSON kind
+CERTIFICATE_EDITS = [_delete(key) for key in ("p", "n", "wieferich", "group_order_claimed", "verdict", "levels")] + [
+    _set("p", True),
+    _set("n", "3"),
+    _set("wieferich", 0),
+    _set("group_order_claimed", 7),
+    _set("group_order_claimed", "3.0"),
+    _set("verdict", None),
+    _set("note", 5),
+    _set("levels", {}),
+    _set("levels", [7]),
+]
+LEVEL_EDITS = [_delete(key) for key in ("m", "norm_abs", "status")] + [
+    _set("m", True),
+    _set("m", "1"),
+    _set("norm_abs", 7),
+    _set("norm_abs", "seven"),
+    _set("status", None),
+    _set("witness", [7, 1]),  # bare ints are not schema-legal
+    _set("witness", ["7"]),
+    _set("witness", ["7", "1", "1"]),
+    _set("witness", "7^1"),
+]
+
+
 def test_parse_rejects_bad_documents():
     with pytest.raises(CertificateFormatError):
         certificate_from_json("not json")
     with pytest.raises(CertificateFormatError):
         certificate_from_json("[1, 2, 3]")
     good = certificate_to_dict(build_certificate(3, 1))
+    certificate_from_json(json.dumps(good))
 
     bad = dict(good, schema="wreath-cert/9")
     with pytest.raises(CertificateFormatError) as info:
         certificate_from_json(json.dumps(bad))
     assert any("schema" in msg for msg in info.value.problems)
 
-    bad = json.loads(json.dumps(good))
-    bad["levels"][0]["norm_abs"] = "seven"
-    with pytest.raises(CertificateFormatError):
-        certificate_from_json(json.dumps(bad))
-
-    bad = json.loads(json.dumps(good))
-    bad["levels"][0]["witness"] = [7, 1]  # bare ints are not schema-legal
-    with pytest.raises(CertificateFormatError):
-        certificate_from_json(json.dumps(bad))
+    for index, edit in enumerate(CERTIFICATE_EDITS + LEVEL_EDITS):
+        bad = json.loads(json.dumps(good))
+        edit(bad if index < len(CERTIFICATE_EDITS) else bad["levels"][0])
+        with pytest.raises(CertificateFormatError) as info:
+            certificate_from_json(json.dumps(bad))
+        assert len(info.value.problems) == 1, (index, info.value.problems)
 
     bad = json.loads(json.dumps(good))
     del bad["levels"][0]["status"]

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, JSON stability."""
 
+import contextlib
 import json
 import math
 import sys
@@ -19,6 +20,16 @@ from wreathcert.cli import (
 )
 from wreathcert.congruence import MAX_LEVELS
 from wreathcert.factoring import MAX_SIEVE_LIMIT
+
+
+@contextlib.contextmanager
+def int_max_str_digits(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def run_cli(argv, capsys):
@@ -356,6 +367,42 @@ def test_certificate_order_past_int_str_limit_exits_cap_at_once(tmp_path, capsys
     assert err == f"size cap exceeded: the group order {p}^(({p}^{n} - 1)/{p - 1}) has more than 4300 decimal digits\n"
     assert not out_path.exists()
     assert code2 == EXIT_INDETERMINATE  # 1093^1094 has 3325 digits
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["--p", "103", "--max-n", "5"], "ring arithmetic supports p <= 101, got 103"),
+        (
+            ["--p", "3", "--max-n", "9", "--trial-bound", str(10**12)],
+            f"trial_bound must be in [2, {MAX_SIEVE_LIMIT}], got {10**12}",
+        ),
+    ],
+    ids=["ring prime", "trial bound"],
+)
+def test_certificate_usage_error_outranks_the_size_cap(tmp_path, capsys, argv, error):
+    # both group orders are past the limit, but the input is checked first
+    out_path = tmp_path / "c.json"
+    with int_max_str_digits(4300):
+        code, _, err = run_cli(["certificate", *argv, "--out", str(out_path)], capsys)
+    assert code == EXIT_USAGE
+    assert err == f"error: {error}\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
+def test_certificate_norm_past_int_str_limit_exits_cap_before_factoring(tmp_path, capsys):
+    # the group order 17^307 has 378 digits and passes; the level-3 norm has
+    # 684 and is refused before its witness search
+    out_path = tmp_path / "c.json"
+    with int_max_str_digits(640):
+        started = time.perf_counter()
+        code, _, err = run_cli(["certificate", "--p", "17", "--max-n", "3", "--out", str(out_path)], capsys)
+        assert time.perf_counter() - started < 0.5
+    assert code == EXIT_CAP
+    assert err == "size cap exceeded: the norm of level 3 has more than 640 decimal digits\n"
+    assert not out_path.exists()
 
 
 def test_certificate_coefficient_cap_exits_cap(monkeypatch, tmp_path, capsys):
