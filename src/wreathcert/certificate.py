@@ -361,10 +361,13 @@ def certificate_to_json(cert: MaximalityCertificate) -> str:
 
 
 def _decimal(value) -> int | None:
+    """The integer a string spells in canonical decimal, the writer's str(n); else None."""
     try:
-        return int(value, 10) if isinstance(value, str) else None
-    except ValueError:
+        number = int(value, 10) if isinstance(value, str) else None
+    except ValueError:  # not decimal, or past the int-str digit limit
         return None
+    # int() also takes spaces, "+", "_", leading zeros, "-0" and non-ASCII digits
+    return number if str(number) == value else None
 
 
 def _read_fields(problems: list[str], table: dict, obj: dict, where: str) -> dict:

@@ -14,6 +14,19 @@ the reduced orbit of 1, which is the orbit of 1 reduced, and builds no
 exact orbit point; the lift check builds each random lift x exactly and
 only phi(x) reduced.
 
+Two lemmas say why the residue is 2^p - 1 at every level; pi = 1 - zeta:
+
+* Lemma A: x = 1 mod pi gives phi(x) = 2 - zeta mod p*pi.  Proof: x - 1
+  lies in (pi), so (x - 1)^p lies in pi^p Z[zeta] = p*pi Z[zeta], since
+  (pi)^(p-1) = (p).
+* Lemma B: N(a + p*pi*t) = N(a) mod p^2 for all a, t in Z[zeta].  Proof:
+  expanding the product of the conjugates, the term linear in p is
+  p*Tr(pi*t*a'), a' the product of the other conjugates of a, and the
+  trace of any element of (pi) lies in pZ; the other terms carry p^2.
+
+So N(phi(x)) = N(2 - zeta) = 2^p - 1 mod p^2 for every x = 1 mod pi, and
+every point of the orbit of 1 is 1 mod pi (dynamics.orbit_congruence_check).
+
 Wieferich primes (2^(p-1) = 1 mod p^2) are the one hypothesis the
 certificate pipeline cannot discharge.  wieferich_check tests one p;
 wieferich_scan tests a block of primes per pow, modulo the product of

@@ -26,8 +26,10 @@ for every n by a one-step induction, so their cost does not depend on n:
   phi^n(0) = 1 - zeta by the fixed-point facts: phi^n is monic,
   Eisenstein at (1 - zeta), with constant term exactly 1 - zeta.
 
-iterate_poly builds the expanded iterate; the tests use it as the oracle
-for these checks.
+CycPoly holds phi and the expanded iterate, and only multiplies and
+evaluates: iterate_poly forms (g - 1)^p + (2 - zeta) by shifting g's
+constant term and squaring and multiplying, and the tests use that
+expanded iterate as the oracle for these checks.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ MAX_POLY_COEFFS = 10_000
 
 
 class CycPoly:
-    """Polynomial in z with CycInt coefficients, ascending, canonical."""
+    """Immutable polynomial in z with CycInt coefficients, ascending, canonical."""
 
     __slots__ = ("p", "coeffs")
 
@@ -100,33 +102,12 @@ class CycPoly:
             acc = acc * x + c
         return acc
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return CycPoly(self.p, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return CycPoly(self.p, tuple(-c for c in self.coeffs))
-
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        """Product with a CycPoly over the same ring; anything else is NotImplemented."""
+        if not isinstance(other, CycPoly):
             return NotImplemented
+        if other.p != self.p:
+            raise RingMismatchError(f"cannot multiply polynomials over p={self.p} and p={other.p}")
         if self.is_zero() or other.is_zero():
             return CycPoly(self.p, ())
         p = self.p
@@ -137,30 +118,6 @@ class CycPoly:
         prod = _convolve(_slotted(self.coeffs, w, size), _slotted(other.coeffs, w, size))
         out = [CycInt._of(p, _wrap(prod[i * w : (i + 1) * w], p)) for i in range(self.degree + other.degree + 1)]
         return CycPoly(p, out)
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, CycPoly):
-            if other.p != self.p:
-                raise RingMismatchError(f"cannot combine polynomials over p={self.p} and p={other.p}")
-            return other
-        if isinstance(other, CycInt):
-            return CycPoly(self.p, (other,))
-        if isinstance(other, int) and not isinstance(other, bool):
-            return CycPoly(self.p, (CycInt.from_int(self.p, other),))
-        return None
-
-    def _pow(self, e: int) -> CycPoly:
-        result = CycPoly(self.p, (CycInt.one(self.p),))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
 
 def _slotted(coeffs, w: int, size: int) -> list:
@@ -246,10 +203,19 @@ def iterate_poly(p: int, n: int) -> CycPoly:
     # p^n >= 2^n, so a large n is refused before p^n is formed
     if n >= MAX_POLY_COEFFS.bit_length() or p**n + 1 > MAX_POLY_COEFFS:
         raise SizeLimitError(f"degree p^n = {p}^{n} needs more than the {MAX_POLY_COEFFS}-coefficient cap")
-    tail = CycInt(p, (2, -1))  # 2 - zeta
+    one, tail = CycPoly(p, (CycInt.one(p),)), CycInt(p, (2, -1))  # 1 and 2 - zeta
     g = phi(p)
     for _ in range(n - 1):
-        g = (g - 1)._pow(p) + tail
+        # phi(g) = (g - 1)^p + (2 - zeta): shift the constant term, raise to
+        # the p-th power by square-and-multiply, shift it back by 2 - zeta
+        base, result, e = CycPoly(p, (g.coeffs[0] - 1,) + g.coeffs[1:]), one, p
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        g = CycPoly(p, (result.coeffs[0] + tail,) + result.coeffs[1:])
     return g
 
 

@@ -465,6 +465,8 @@ def _set(key, value):
     return lambda record: record.update({key: value})
 
 
+# int() reads each of these as an integer; only the canonical str(n) is schema-legal
+NON_CANONICAL_DECIMALS = (" 43", "+43", "4_3", "043", "-0", "\u0664\u0663")  # the last is Arabic-Indic 43
 # one edit per field of the schema: each field missing, and each of another JSON kind
 CERTIFICATE_EDITS = [_delete(key) for key in ("p", "n", "wieferich", "group_order_claimed", "verdict", "levels")] + [
     _set("p", True),
@@ -476,7 +478,7 @@ CERTIFICATE_EDITS = [_delete(key) for key in ("p", "n", "wieferich", "group_orde
     _set("note", 5),
     _set("levels", {}),
     _set("levels", [7]),
-]
+] + [_set("group_order_claimed", text) for text in NON_CANONICAL_DECIMALS]
 LEVEL_EDITS = [_delete(key) for key in ("m", "norm_abs", "status")] + [
     _set("m", True),
     _set("m", "1"),
@@ -487,7 +489,7 @@ LEVEL_EDITS = [_delete(key) for key in ("m", "norm_abs", "status")] + [
     _set("witness", ["7"]),
     _set("witness", ["7", "1", "1"]),
     _set("witness", "7^1"),
-]
+] + [edit for text in NON_CANONICAL_DECIMALS for edit in (_set("norm_abs", text), _set("witness", [text, "1"]))]
 
 
 def test_parse_rejects_bad_documents():

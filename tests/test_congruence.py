@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import resultant_oracle
 import zeta3_oracle as oracle
 from oracles import is_pth_power_mod_p2_bruteforce, pth_power_residues_mod_p2
 from wreathcert import (
@@ -111,6 +112,39 @@ def test_norm_congruence_residues_match_exact_norms():
         report = norm_congruence_check(p, n)
         exact = [x.norm() % p**2 for x in orbit_points(p, CycInt.one(p), n)]
         assert [item.residue for item in report.items] == exact
+
+
+LEMMA_PRIMES = [3, 5, 7, 11, 13, 31, 61, 101]
+
+
+def _random_element(rng, p, bound=99):
+    return CycInt(p, [rng.randint(-bound, bound) for _ in range(p - 1)])
+
+
+@pytest.mark.parametrize("p", LEMMA_PRIMES)
+def test_lemma_a_phi_is_two_minus_zeta_mod_p_pi(p):
+    # x = 1 mod pi gives (x - 1)^p in pi^p Z[zeta] = p pi Z[zeta]
+    rng = random.Random(1000 + p)
+    pi = one_minus_zeta(p)
+    for _ in range(20):
+        x = CycInt.one(p) + pi * _random_element(rng, p)
+        quotient = (phi_at(x) - CycInt(p, (2, -1))).divide_by_pi()
+        assert quotient is not None, (p, x)
+        assert all(c % p == 0 for c in quotient.coeffs), (p, x)
+
+
+@pytest.mark.parametrize("p", LEMMA_PRIMES)
+def test_lemma_b_norm_is_constant_mod_p2_on_cosets_of_p_pi(p):
+    # N(a + p pi t) = N(a) mod p^2, by the library's norm mod p^2 and, at
+    # small p, by the exact resultant norm
+    rng = random.Random(2000 + p)
+    p2, p_pi = p * p, one_minus_zeta(p) * p
+    for _ in range(20):
+        a = _random_element(rng, p)
+        b = a + p_pi * _random_element(rng, p)
+        assert b.norm(p2) == a.norm(p2), (p, a, b)
+        if p <= 13:
+            assert resultant_oracle.norm(b.coeffs, p) % p2 == resultant_oracle.norm(a.coeffs, p) % p2 == a.norm(p2)
 
 
 def test_general_congruence_validates():
