@@ -172,29 +172,19 @@ def build_certificate(p: int, n: int, cfg: FactorConfig = FactorConfig()) -> Max
     is checked first by require_certificate_input.
     """
     require_certificate_input(p, n, cfg)
-    if wieferich_check(p):
-        return MaximalityCertificate(
-            p=p,
-            n=n,
-            wieferich=True,
-            levels=(),
-            group_order_claimed=group_order(p, n),
-            verdict=INDETERMINATE,
-            note=WIEFERICH_NOTE,
-        )
-    levels = []
-    for m, point in enumerate(orbit_points(p, CycInt.one(p), n), 1):
-        levels.append(_level_record(p, m, point, cfg))
-    verdict = MAXIMAL if all(rec.status == WITNESS_FOUND for rec in levels) else INDETERMINATE
+    wieferich = wieferich_check(p)
+    points = () if wieferich else orbit_points(p, CycInt.one(p), n)
+    levels = tuple(_level_record(p, m, point, cfg) for m, point in enumerate(points, 1))
     return MaximalityCertificate(
-        p=p,
-        n=n,
-        wieferich=False,
-        levels=tuple(levels),
-        group_order_claimed=group_order(p, n),
-        verdict=verdict,
-        note=None,
+        p=p, n=n, wieferich=wieferich, levels=levels, group_order_claimed=group_order(p, n),
+        verdict=_verdict(n, wieferich, levels), note=WIEFERICH_NOTE if wieferich else None,
     )
+
+
+def _verdict(n: int, wieferich: bool, levels) -> str:
+    """MAXIMAL exactly when p is not Wieferich and all n levels hold a witness."""
+    witnessed = len(levels) == n and all(rec.status == WITNESS_FOUND for rec in levels)
+    return MAXIMAL if witnessed and not wieferich else INDETERMINATE
 
 
 def certificate_problems(cert: MaximalityCertificate) -> list[str]:
@@ -268,10 +258,7 @@ def certificate_problems(cert: MaximalityCertificate) -> list[str]:
     if cert.levels:
         problems.extend(_norm_problems(p, [rec.norm_abs for rec in cert.levels]))
 
-    should_be_maximal = not cert.wieferich and bool(cert.levels) and all(
-        rec.status == WITNESS_FOUND for rec in cert.levels
-    ) and len(cert.levels) == n
-    if (cert.verdict == MAXIMAL) != should_be_maximal:
+    if (cert.verdict == MAXIMAL) != (_verdict(n, cert.wieferich, cert.levels) == MAXIMAL):
         problems.append(f"verdict {cert.verdict} inconsistent with levels and wieferich flag")
     return problems
 
@@ -279,7 +266,6 @@ def certificate_problems(cert: MaximalityCertificate) -> list[str]:
 def _norm_problems(p: int, norms: list[int]) -> list[str]:
     """The first m with norms[m - 1] != N(phi^m(1)), walking the orbit of 1."""
     try:
-        require_ring_prime(p)
         for m, (claimed, point) in enumerate(zip(norms, orbit_points(p, CycInt.one(p), len(norms))), 1):
             if _norm_differs(point, claimed):
                 return [f"level {m}: norm_abs is not the norm of phi^{m}(1)"]

@@ -40,6 +40,13 @@ EXIT_INDETERMINATE = 3
 EXIT_IO = 4
 EXIT_CAP = 5
 
+# verify reads at most this many bytes, plus one to tell a longer input.  At
+# the default int-str digit limit an honest certificate (one order and at most
+# 8 levels of norms of up to 4300 digits) is under about 50 KB, so the first
+# read, small enough that malloc serves it without an mmap, takes it whole.
+_MAX_CERTIFICATE_BYTES = 1 << 20
+_FIRST_READ_BYTES = 1 << 16
+
 
 def _int_arg(text: str, validate, describe: str) -> int:
     try:
@@ -137,10 +144,15 @@ def cmd_certificate(args) -> int:
 def cmd_verify(args) -> int:
     try:
         with open(args.infile, "rb") as handle:
-            raw = handle.read()
+            raw = handle.read(_FIRST_READ_BYTES)
+            if len(raw) == _FIRST_READ_BYTES:
+                raw += handle.read(_MAX_CERTIFICATE_BYTES + 1 - len(raw))
     except OSError as exc:
         print(f"cannot read {args.infile}: {exc}", file=sys.stderr)
         return EXIT_IO
+    if len(raw) > _MAX_CERTIFICATE_BYTES:
+        print(f"malformed certificate: longer than {_MAX_CERTIFICATE_BYTES} bytes", file=sys.stderr)
+        return EXIT_USAGE
     try:
         cert = certificate_from_json(raw)
     except CertificateFormatError as exc:

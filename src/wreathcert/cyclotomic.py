@@ -20,8 +20,9 @@ to a short cutoff, where the schoolbook loop takes over, and then wraps
 exponents through zeta^p = 1.  Polynomials over Z[zeta] multiply through
 the same two steps (dynamics.CycPoly).  The multiply mod m, whose
 coefficients stay below m, is one big-integer product instead: Kronecker
-substitution packs each operand into one int with a fixed-width slot per
-coefficient (_mul_mod).
+substitution packs each operand into one int with a slot of 1, 2, 4 or 8
+bytes per coefficient (_mul_mod); a modulus too wide for 8-byte slots
+reduces the exact product.
 
 The prime ideal generated by (1 - zeta) is the unique prime above p
 (p factors as its (p-1)-st power).  Division by (1 - zeta) is exact
@@ -331,54 +332,52 @@ def _wrap(prod: list, p: int) -> tuple:
 def _mul_mod(a, b, p: int, m: int | None) -> tuple:
     """Product of two coefficient tuples, reduced mod m into [0, m); exact when m is None.
 
-    With a modulus, each operand, reduced into [0, m), is packed into one
-    int of w-byte slots, one per coefficient, so the slots of the one
-    big-integer product hold the product polynomial's coefficients.  One
-    mask and one shift wrap zeta^p = 1; the p slots are unpacked, the
+    Each operand, reduced into [0, m), is packed into one int of
+    _kronecker_layout's w-byte slots, one per coefficient, so the slots of
+    the one big-integer product hold the product polynomial's coefficients.
+    One mask and one shift wrap zeta^p = 1; the p slots are unpacked, the
     zeta^(p-1) slot is folded into the others, and each is reduced mod m.
+    A modulus too wide for the slots reduces the exact product instead.
     The operands may have any sign and size.
     """
     if m is None:
         return _mul(a, b, p)
-    w, slots, shift, mask = _kronecker_layout(p, m)
-    packed = _pack(a, m, w, slots)
-    prod = packed * (packed if a is b else _pack(b, m, w, slots))
+    layout = _kronecker_layout(p, m)
+    if layout is None:
+        return _reduce(_mul(_reduce(a, m), _reduce(b, m), p), m)
+    w, slots, shift, mask = layout
+    packed = _pack(a, m, slots)
+    prod = packed * (packed if a is b else _pack(b, m, slots))
     prod = (prod & mask) + (prod >> shift)
     top = prod >> shift - 8 * w  # the zeta^(p-1) slot
-    buf = prod.to_bytes(w * p, "little")
-    if slots is None:
-        coeffs = [int.from_bytes(buf[i : i + w], "little") for i in range(0, w * (p - 1), w)]
-    else:
-        coeffs = slots.unpack_from(buf)
+    coeffs = slots.unpack_from(prod.to_bytes(w * p, "little"))
     return tuple([(c - top) % m for c in coeffs])
 
 
 @lru_cache(maxsize=256)
-def _kronecker_layout(p: int, m: int) -> tuple:
+def _kronecker_layout(p: int, m: int) -> tuple | None:
     """Slot width w in bytes for _mul_mod in (Z/m)[zeta_p], and what packs the slots.
 
     Once zeta^p = 1 has wrapped the product, the slot of zeta^k holds the sum
     of a_i b_j over i + j = k mod p with 0 <= i, j <= p - 2: at most p - 1
     products, each at most (m - 1)^2.  So w bytes with (p - 1)(m - 1)^2 <
-    256^w never carry into the next slot, before the wrap or after it.  A
-    width of 1, 2, 4 or 8 bytes (every m = p^2 with p <= MAX_RING_PRIME) is
-    packed and unpacked by one struct call; a wider slot goes through
-    to_bytes pieces.  Returns (w, struct or None, shift, mask), where shift
-    and mask cut the product at zeta^p.  The cache is bounded, because
+    256^w never carry into the next slot, before the wrap or after it.  The
+    smallest such w of 1, 2, 4 or 8 bytes (8 covers every m = p^2 with p <=
+    MAX_RING_PRIME) is packed and unpacked by one struct call.  Returns (w,
+    struct, shift, mask), where shift and mask cut the product at zeta^p, or
+    None when 8 bytes are too narrow.  The cache is bounded, because
     verify's fingerprint moduli are random primes.
     """
-    need = (((p - 1) * (m - 1) ** 2).bit_length() + 7) // 8
-    w = next((size for size in (1, 2, 4, 8) if need <= size), need)
-    code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(w)
-    shift = 8 * w * p
-    slots = Struct(f"<{p - 1}{code}") if code else None
-    return w, slots, shift, (1 << shift) - 1
+    bits = ((p - 1) * (m - 1) ** 2).bit_length()
+    for w, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")):
+        if bits <= 8 * w:
+            shift = 8 * w * p
+            return w, Struct(f"<{p - 1}{code}"), shift, (1 << shift) - 1
+    return None
 
 
-def _pack(a, m: int, w: int, slots: Struct | None) -> int:
-    """The coefficients of a, reduced into [0, m), as one int of w-byte slots."""
-    if slots is None:
-        return int.from_bytes(b"".join([(c % m).to_bytes(w, "little") for c in a]), "little")
+def _pack(a, m: int, slots: Struct) -> int:
+    """The coefficients of a, reduced into [0, m), as one int of the slots' width."""
     return int.from_bytes(slots.pack(*[c % m for c in a]), "little")
 
 

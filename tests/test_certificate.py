@@ -231,10 +231,28 @@ def test_verify_rejects_missing_level():
 
 
 def test_verify_rejects_inconsistent_verdict():
+    # MAXIMAL exactly when p is not Wieferich and all n levels hold a
+    # witness; any other verdict, unknown ones too, counts as not MAXIMAL
     cert = build_certificate(3, 2)
-    bad = tamper_level(cert, 1, witness=None, status=INDETERMINATE)
-    problems = certificate_problems(bad)
-    assert any("verdict" in msg for msg in problems)
+    unwitnessed = tamper_level(cert, 1, witness=None, status=INDETERMINATE)
+    inconsistent = "verdict {} inconsistent with levels and wieferich flag".format
+    cases = [
+        (unwitnessed, [inconsistent(MAXIMAL)]),
+        (dataclasses.replace(cert, levels=cert.levels[:1]), ["expected 2 levels, found 1", inconsistent(MAXIMAL)]),
+        (
+            dataclasses.replace(cert, wieferich=True),
+            [
+                "wieferich flag True contradicts 2^(p-1) mod p^2",
+                "wieferich certificate should not carry levels",
+                inconsistent(MAXIMAL),
+            ],
+        ),
+        (dataclasses.replace(cert, verdict=INDETERMINATE), [inconsistent(INDETERMINATE)]),
+        (dataclasses.replace(cert, verdict="FOO"), ["unknown verdict 'FOO'", inconsistent("FOO")]),
+        (dataclasses.replace(unwitnessed, verdict="FOO"), ["unknown verdict 'FOO'"]),
+    ]
+    for bad, want in cases:
+        assert certificate_problems(bad) == want
 
 
 def test_verify_rejects_uncertain_witness():

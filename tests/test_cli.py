@@ -3,6 +3,7 @@
 import contextlib
 import json
 import math
+import os
 import sys
 import time
 
@@ -413,6 +414,30 @@ def test_certificate_coefficient_cap_exits_cap(monkeypatch, tmp_path, capsys):
     assert "size cap exceeded" in err
     assert "16-bit cap" in err
     assert not out_path.exists()
+
+
+def test_verify_input_is_bounded(monkeypatch, tmp_path, capsys):
+    import wreathcert.cli as cli
+
+    if os.path.exists("/dev/zero"):
+        started = time.perf_counter()
+        code, _, err = run_cli(["verify", "--in", "/dev/zero"], capsys)
+        assert time.perf_counter() - started < 1
+        assert code == EXIT_USAGE
+        assert err == f"malformed certificate: longer than {cli._MAX_CERTIFICATE_BYTES} bytes\n"
+    path = tmp_path / "cert.json"
+    assert run_cli(["certificate", "--p", "3", "--max-n", "2", "--out", str(path)], capsys)[0] == EXIT_OK
+    honest = path.read_bytes()
+    # trailing whitespace is valid JSON, so only the bound refuses a file one
+    # byte over it; the second bound is past verify's first read
+    for bound in (len(honest), 2 * cli._FIRST_READ_BYTES):
+        monkeypatch.setattr(cli, "_MAX_CERTIFICATE_BYTES", bound)
+        path.write_bytes(honest.ljust(bound))
+        assert run_cli(["verify", "--in", str(path)], capsys)[0] == EXIT_OK
+        path.write_bytes(honest.ljust(bound + 1))
+        code, _, err = run_cli(["verify", "--in", str(path)], capsys)
+        assert code == EXIT_USAGE
+        assert err == f"malformed certificate: longer than {bound} bytes\n"
 
 
 def test_verify_missing_file(tmp_path, capsys):

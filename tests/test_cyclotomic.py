@@ -169,11 +169,24 @@ def test_mul_matches_schoolbook_across_the_cutoff(p):
 @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
 def test_mul_mod_matches_reduced_exact_product(p):
     # the Kronecker kernel against the exact product reduced afterwards:
-    # all-(m - 1) operands fill a slot to its bound (p - 1)(m - 1)^2, which
-    # the last modulus puts just past 2^72, and a conjugate of a reduced
-    # tuple has negative entries, so those reach the kernel too
+    # all-(m - 1) operands fill a slot to its bound (p - 1)(m - 1)^2, and a
+    # conjugate of a reduced tuple has negative entries, so those reach the
+    # kernel too.  Each slot width w of 1, 2, 4 and 8 bytes is met at the
+    # largest m with that bound below 256^w and at the next m up, which needs
+    # the next width; 2^61 - 1 and a modulus that puts the bound just past
+    # 2^72 fit no 8-byte slot, so they reduce the exact product.
+    def width(m):
+        layout = cyclotomic._kronecker_layout(p, m)
+        return layout and layout[0]
+
+    moduli = [1, p * p, 2**61 - 1, math.isqrt(2**72 // (p - 1)) + 2]
+    assert width(moduli[2]) is None and width(moduli[3]) is None
+    for w, wider in ((1, 2), (2, 4), (4, 8), (8, None)):
+        top = math.isqrt((256**w - 1) // (p - 1)) + 1
+        assert width(top) == w and width(top + 1) == wider
+        moduli += [top, top + 1]
     rng = random.Random(p)
-    for m in (1, p * p, 2**61 - 1, math.isqrt(2**72 // (p - 1)) + 2):
+    for m in moduli:
         reduced = tuple(rng.randrange(m) for _ in range(p - 1))
         cases = [
             ((m - 1,) * (p - 1), (m - 1,) * (p - 1)),
