@@ -8,11 +8,16 @@ Exit codes: 0 success/PASS, 1 a check ran and failed, 2 usage error or
 a malformed certificate file, 3 certificate verdict INDETERMINATE, 4 I/O
 error, 5 size cap exceeded (certificate only: the orbit's coefficient
 cap, or a group order or norm past Python's int-str digit limit).
+
+``main(argv)`` may be called repeatedly in one process: the parser is
+built once, on the first call, and each call parses into a fresh
+namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -178,6 +183,7 @@ def cmd_structure(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wreathcert",

@@ -17,10 +17,12 @@ from wreathcert.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
+from wreathcert.certificate import build_certificate, certificate_to_json
 from wreathcert.congruence import MAX_LEVELS
-from wreathcert.factoring import MAX_SIEVE_LIMIT
+from wreathcert.factoring import MAX_SIEVE_LIMIT, FactorConfig
 
 
 @contextlib.contextmanager
@@ -485,3 +487,35 @@ def test_threads_flag_removed(capsys):
 def test_unknown_subcommand(capsys):
     code, _, _ = run_cli(["frobnicate"], capsys)
     assert code == EXIT_USAGE
+
+
+def test_main_reuses_one_parser_without_leaking_state(monkeypatch, tmp_path, capsys):
+    # main builds its parser once per process; no flag, default or stream of
+    # one call may reach the next
+    assert build_parser() is build_parser()
+
+    norm = ["norm-congruence", "--p", "3", "--max-n", "4"]
+    code, out, _ = run_cli(norm + ["--json"], capsys)
+    assert code == EXIT_OK and json.loads(out)["p"] == 3
+    code, out, _ = run_cli(norm, capsys)
+    assert code == EXIT_OK
+    assert out.startswith("norm congruence for p=3: expected residue 7 mod 9\n")
+
+    cert = ["certificate", "--p", "3", "--max-n", "3", "--out"]
+    seeded, unseeded = tmp_path / "seeded.json", tmp_path / "unseeded.json"
+    assert run_cli(cert + [str(seeded), "--seed", "5"], capsys)[0] == EXIT_OK
+    assert run_cli(cert + [str(unseeded)], capsys)[0] == EXIT_OK
+    assert unseeded.read_text() == certificate_to_json(build_certificate(3, 3, FactorConfig()))
+
+    for argv, message in [
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        (["certificate", "--p", "3", "--max-n", "3"], "the following arguments are required: --out"),
+    ]:
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage: wreathcert") and message in err
+
+    monkeypatch.setattr(sys, "argv", ["wreathcert", "wieferich", "--check", "7"])
+    code, out, err = run_cli(None, capsys)
+    assert code == EXIT_OK and err == ""
+    assert out == "wieferich(7) = false\n2^(p-1) mod p^2 = 15\n"
