@@ -48,7 +48,7 @@ INDETERMINATE = "INDETERMINATE"
 MAXIMAL = "MAXIMAL"
 
 # Past this many bits in (p - 1) * (coefficient bits of the point), an exact
-# norm costs from milliseconds up to about two minutes (p = 101, level 3),
+# norm costs from milliseconds up to about five minutes (p = 101, level 3),
 # and a file may ask for one level past the norms it honestly holds; a
 # fingerprint modulo a random prime, which the file cannot predict, rejects
 # a false norm before the exact one is computed.

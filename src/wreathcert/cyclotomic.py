@@ -14,11 +14,10 @@ multi-modular resultant in tests/resultant_oracle.py is the independent
 algorithm the tests compare against.  Given a modulus m, the same chain
 runs in (Z/m)[zeta] and returns N(x) mod m.
 
-The exact ring multiply convolves the two coefficient vectors by
-Karatsuba's recursion (three half-length products in place of four) down
-to a short cutoff, where the schoolbook loop takes over, and then wraps
-exponents through zeta^p = 1.  Polynomials over Z[zeta] multiply through
-the same two steps (dynamics.CycPoly).  The multiply mod m, whose
+The exact ring multiply convolves the two coefficient vectors by the
+schoolbook loop, skipping zero coefficients, and then wraps exponents
+through zeta^p = 1.  Polynomials over Z[zeta] multiply through the same
+two steps (dynamics.CycPoly).  The multiply mod m, whose
 coefficients stay below m, is one big-integer product instead: Kronecker
 substitution packs each operand into one int with a slot of 1, 2, 4 or 8
 bytes per coefficient (_mul_mod); a modulus too wide for 8-byte slots
@@ -39,7 +38,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import accumulate
-from operator import add
 from struct import Struct
 
 from .errors import RingMismatchError
@@ -49,10 +47,6 @@ from .factoring import DETERMINISTIC_LIMIT, is_prime
 # sizes stay sane.  Pure-integer checks (Wieferich etc.) do not go
 # through this bound.
 MAX_RING_PRIME = 101
-
-# Vectors of at most this many coefficients are multiplied by the schoolbook
-# loop, longer ones split by Karatsuba; every p <= 13 stays on the loop.
-_KARATSUBA_CUTOFF = 12
 
 
 @lru_cache(maxsize=None)
@@ -397,30 +391,17 @@ def _require_modulus(m: int | None) -> int | None:
 
 
 def _convolve(a, b) -> list:
-    """Coefficients of the product of two polynomials given as equal-length sequences.
+    """Coefficients of the product of two polynomials given as coefficient sequences.
 
-    Karatsuba: with a = a0 + x^m a1 and b = b0 + x^m b1, the middle term
-    a0 b1 + a1 b0 is (a0 + a1)(b0 + b1) - a0 b0 - a1 b1.
+    The schoolbook loop, skipping the zero coefficients of either operand;
+    the operands may differ in length.
     """
-    n = len(a)
-    if n <= _KARATSUBA_CUTOFF:
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return prod
-    m = n // 2  # a0 holds m coefficients, a1 the other n - m >= m
-    a0, a1, b0, b1 = a[:m], a[m:], b[:m], b[m:]
-    low = _convolve(a0, b0)
-    high = _convolve(a1, b1)
-    mid = _convolve([*map(add, a0, a1), *a1[m:]], [*map(add, b0, b1), *b1[m:]])
-    prod = low + [0] + high
-    for i, c in enumerate(mid):
-        prod[m + i] += c - high[i]
-    for i, c in enumerate(low):
-        prod[m + i] -= c
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] += ai * bj
     return prod
 
 

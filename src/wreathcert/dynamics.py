@@ -114,15 +114,14 @@ class CycPoly:
         # one integer convolution: z^i zeta^k sits at i * w + k, and a ring
         # product reaches only zeta^(2p - 4), so slots of w = 2p - 3 never overlap
         w = 2 * p - 3
-        size = max(len(self.coeffs), len(other.coeffs)) * w
-        prod = _convolve(_slotted(self.coeffs, w, size), _slotted(other.coeffs, w, size))
+        prod = _convolve(_slotted(self.coeffs, w), _slotted(other.coeffs, w))
         out = [CycInt._of(p, _wrap(prod[i * w : (i + 1) * w], p)) for i in range(self.degree + other.degree + 1)]
         return CycPoly(p, out)
 
 
-def _slotted(coeffs, w: int, size: int) -> list:
+def _slotted(coeffs, w: int) -> list:
     """The coefficient tuples of CycInts laid w apart in one zero-padded list."""
-    flat = [0] * size
+    flat = [0] * (len(coeffs) * w)
     for i, c in enumerate(coeffs):
         flat[i * w : i * w + len(c.coeffs)] = c.coeffs
     return flat

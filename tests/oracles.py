@@ -8,7 +8,10 @@ Each one answers a question the library answers another way:
 * the group order by the recursion |W_1| = p, |W_k| = |W_(k-1)|^p * p,
   where the library uses the closed formula p^((p^n - 1)/(p - 1));
 * ring multiply by the schoolbook convolution of the coefficient
-  vectors, where the library splits long vectors by Karatsuba;
+  vectors, which the library's exact _mul runs too; the independent
+  check of _mul is test_mul_mod_matches_reduced_exact_product, which
+  compares its product, reduced mod m, with _mul_mod's packed
+  big-integer product at all 25 ring primes;
 * polynomial multiply by the schoolbook sum of CycInt products, where
   the library lays both polynomials out in one integer vector and
   convolves that once;

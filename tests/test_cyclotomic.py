@@ -157,13 +157,20 @@ def mul_inputs(rng, p):
 
 @pytest.mark.parametrize("p", [13, 17, 19, 31, 61, 101])
 def test_mul_matches_schoolbook_across_the_cutoff(p):
-    # p - 1 = 12 is the cutoff itself, 16 and 18 the first splits, and
-    # 30 splits into odd halves of 15 = 7 + 8
+    # vectors of 12 coefficients, the longest any p <= 13 makes, up to the
+    # 100 of the largest ring prime, with coefficients of up to 3000 bits
     rng = random.Random(p)
     for a, b in mul_inputs(rng, p):
         want = oracles.mul_schoolbook(a, b, p)
         assert cyclotomic._mul(a, b, p) == want
         assert CycInt(p, a) * CycInt(p, b) == CycInt(p, want)
+    # operands of unequal length, as CycPoly's slotted vectors are, against
+    # each product coefficient summed on its own
+    a = [rng.randint(-(2**64), 2**64) for _ in range(p - 1)]
+    b = [rng.randint(-(2**64), 2**64) if rng.random() < 0.5 else 0 for _ in range(7)]
+    for x, y in ((a, b), (b, a)):
+        want = [sum(x[i] * y[k - i] for i in range(len(x)) if 0 <= k - i < len(y)) for k in range(len(x) + len(y) - 1)]
+        assert cyclotomic._convolve(x, y) == want
 
 
 @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
