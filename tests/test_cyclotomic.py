@@ -158,7 +158,10 @@ def mul_inputs(rng, p):
 @pytest.mark.parametrize("p", [13, 17, 19, 31, 61, 101])
 def test_mul_matches_schoolbook_across_the_cutoff(p):
     # vectors of 12 coefficients, the longest any p <= 13 makes, up to the
-    # 100 of the largest ring prime, with coefficients of up to 3000 bits
+    # 100 of the largest ring prime, with coefficients of up to 3000 bits.
+    # The name, from a Karatsuba cutoff since removed, is kept so the test
+    # ids stay; oracles.mul_schoolbook is now the same loop as _mul, so the
+    # independent check of _mul is test_mul_mod_matches_reduced_exact_product
     rng = random.Random(p)
     for a, b in mul_inputs(rng, p):
         want = oracles.mul_schoolbook(a, b, p)
