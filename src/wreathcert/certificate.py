@@ -38,7 +38,7 @@ from .congruence import expected_residue, wieferich_check
 from .cyclotomic import CycInt, require_odd_prime, require_ring_prime
 from .dynamics import orbit_points
 from .errors import SizeLimitError
-from .factoring import DETERMINISTIC_LIMIT, FactorConfig, factor, is_prime_certain, require_factor_config
+from .factoring import DETERMINISTIC_LIMIT, FactorConfig, factor, is_prime_certain
 
 SCHEMA = "wreath-cert/1"
 
@@ -98,14 +98,13 @@ def group_order(p: int, n: int) -> int:
     return p ** ((p**n - 1) // (p - 1))
 
 
-def require_certificate_input(p: int, n: int, cfg: FactorConfig) -> None:
-    """Raise ValueError unless build_certificate accepts (p, n, cfg).
+def require_certificate_input(p: int, n: int) -> None:
+    """Raise ValueError unless build_certificate accepts (p, n).
 
-    cfg must be valid for every p, Wieferich or not; p must be an odd
-    prime, and at most MAX_RING_PRIME unless it is Wieferich (no levels
-    are computed then); n must be at least 1.
+    p must be an odd prime, and at most MAX_RING_PRIME unless it is
+    Wieferich (no levels are computed then); n must be at least 1.  The
+    FactorConfig needs no check here: it refuses a bad trial bound itself.
     """
-    require_factor_config(cfg)
     require_odd_prime(p)
     if n < 1:
         raise ValueError("need n >= 1")
@@ -171,7 +170,7 @@ def build_certificate(p: int, n: int, cfg: FactorConfig = FactorConfig()) -> Max
     Python's int-str digit limit, propagate as SizeLimitError.  The input
     is checked first by require_certificate_input.
     """
-    require_certificate_input(p, n, cfg)
+    require_certificate_input(p, n)
     wieferich = wieferich_check(p)
     points = () if wieferich else orbit_points(p, CycInt.one(p), n)
     levels = tuple(_level_record(p, m, point, cfg) for m, point in enumerate(points, 1))

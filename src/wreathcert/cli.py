@@ -120,9 +120,9 @@ def cmd_wieferich(args) -> int:
 
 
 def cmd_certificate(args) -> int:
-    cfg = FactorConfig(trial_bound=args.trial_bound, rho_seed=args.seed)
+    cfg = FactorConfig(rho_seed=args.seed)
     try:
-        require_certificate_input(args.p, args.max_n, cfg)
+        require_certificate_input(args.p, args.max_n)
         require_printable_order(args.p, args.max_n)
         cert = build_certificate(args.p, args.max_n, cfg)
     except ValueError as exc:
@@ -212,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cert.add_argument("--p", type=_odd_prime, required=True)
     p_cert.add_argument("--max-n", type=_positive, required=True)
-    p_cert.add_argument("--trial-bound", type=_positive, default=FactorConfig.trial_bound)
     p_cert.add_argument("--seed", type=int, default=FactorConfig.rho_seed)
     p_cert.add_argument("--out", required=True, metavar="FILE")
     p_cert.set_defaults(func=cmd_certificate)

@@ -49,13 +49,14 @@ from .factoring import DETERMINISTIC_LIMIT, is_prime
 MAX_RING_PRIME = 101
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def require_odd_prime(p: int) -> int:
     """Validate that p is an odd prime, proved so deterministically; return it.
 
     p at or above DETERMINISTIC_LIMIT is refused before any primality
     test, and named by its bit length: is_prime is only probabilistic
-    there, and slow on hostile input of thousands of digits.
+    there, and slow on hostile input of thousands of digits.  The cache is
+    bounded, because a library loop may check millions of distinct p.
     """
     if not isinstance(p, int) or isinstance(p, bool):
         raise TypeError(f"prime must be an int, got {type(p).__name__}")

@@ -43,11 +43,18 @@ MAX_SIEVE_LIMIT = 10**8
 
 @dataclass(frozen=True)
 class FactorConfig:
-    """Knobs for factor(); the seed makes rho runs reproducible."""
+    """Knobs for factor(); the seed makes rho runs reproducible.
+
+    A trial bound outside [2, MAX_SIEVE_LIMIT] is refused when the config is made.
+    """
 
     trial_bound: int = 100_000
     rho_budget: int = 10_000_000
     rho_seed: int = 1
+
+    def __post_init__(self):
+        if not 2 <= self.trial_bound <= MAX_SIEVE_LIMIT:
+            raise ValueError(f"trial_bound must be in [2, {MAX_SIEVE_LIMIT}], got {self.trial_bound}")
 
 
 @dataclass(frozen=True)
@@ -175,13 +182,6 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
     return None, used
 
 
-def require_factor_config(cfg: FactorConfig) -> FactorConfig:
-    """Validate cfg: 2 <= trial_bound <= MAX_SIEVE_LIMIT; return it."""
-    if not 2 <= cfg.trial_bound <= MAX_SIEVE_LIMIT:
-        raise ValueError(f"trial_bound must be in [2, {MAX_SIEVE_LIMIT}], got {cfg.trial_bound}")
-    return cfg
-
-
 def factor(n: int, cfg: FactorConfig = FactorConfig()) -> Factorization:
     """Factor |n| by trial division then seeded Brent rho.
 
@@ -189,7 +189,6 @@ def factor(n: int, cfg: FactorConfig = FactorConfig()) -> Factorization:
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    require_factor_config(cfg)
     m = abs(n)
     counts: dict[int, int] = {}
     m = _trial_divide(m, cfg.trial_bound, counts)

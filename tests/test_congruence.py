@@ -1,6 +1,7 @@
 """Norm congruences, Wieferich checks, p-th powers mod p^2."""
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -15,6 +16,7 @@ from wreathcert import (
     norm_congruence_check,
     one_minus_zeta,
     phi,
+    require_odd_prime,
     wieferich_check,
     wieferich_scan,
 )
@@ -170,6 +172,18 @@ def test_wieferich_rejects_non_primes():
         wieferich_check(4)
     with pytest.raises(ValueError):
         wieferich_check(2)
+
+
+def test_wieferich_check_keeps_a_bounded_prime_cache():
+    # a library loop over many p must not grow require_odd_prime's cache
+    # with every one of them
+    primes = list(islice((q for q in primes_up_to(10**4) if q > 2), 1000))
+    assert len(primes) == 1000
+    for q in primes:
+        wieferich_check(q)
+    info = require_odd_prime.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("limit", [3, 5, 1093, 1094, 3511, 10**5])

@@ -100,16 +100,16 @@ def test_factor_sign_and_units():
 def test_factor_rejects_zero():
     with pytest.raises(ValueError):
         factor(0)
-    with pytest.raises(ValueError):
-        factor(10, FactorConfig(trial_bound=1))
 
 
 def test_factor_rejects_trial_bound_past_sieve_cap():
+    # the config itself refuses a bound outside [2, MAX_SIEVE_LIMIT], so no
+    # caller, factor() or a Wieferich build_certificate, can receive one
     assert factor(10, FactorConfig(trial_bound=MAX_SIEVE_LIMIT)).factors == ((2, 1), (5, 1))
-    with pytest.raises(ValueError, match=str(MAX_SIEVE_LIMIT)):
-        factor(10, FactorConfig(trial_bound=MAX_SIEVE_LIMIT + 1))
-    with pytest.raises(ValueError):
-        factor(10, FactorConfig(trial_bound=10**12))
+    assert FactorConfig(trial_bound=2).trial_bound == 2
+    for bad in (1, MAX_SIEVE_LIMIT + 1, 10**12):
+        with pytest.raises(ValueError, match=rf"^trial_bound must be in \[2, {MAX_SIEVE_LIMIT}\], got {bad}$"):
+            FactorConfig(trial_bound=bad)
 
 
 def test_primes_up_to_matches_trial_division():
