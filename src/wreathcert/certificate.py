@@ -30,6 +30,7 @@ nothing either way.
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -53,6 +54,12 @@ MAXIMAL = "MAXIMAL"
 # fingerprint modulo a random prime, which the file cannot predict, rejects
 # a false norm before the exact one is computed.
 _FINGERPRINT_BITS = 4096
+
+# The largest group order the library forms, in bits: above the
+# 12,069,923-bit order at (1093, 3), far below (3511, 3) at about 1.45 * 10^8
+# bits and (1093, 4) at about 1.32 * 10^10, which are refused at once.  The
+# largest order it admits, 851639^851640, takes 5 s on a 2-vCPU x86-64 host.
+MAX_ORDER_BITS = 1 << 24
 
 WIEFERICH_NOTE = (
     "p is a Wieferich prime, so the norm congruence no longer rules out "
@@ -90,12 +97,29 @@ class MaximalityCertificate:
     note: str | None = None
 
 
-def group_order(p: int, n: int) -> int:
-    """Order of the n-fold wreath power of C_p: p^((p^n - 1)/(p - 1))."""
+def group_order(p: int, n: int, max_bits: int = MAX_ORDER_BITS) -> int:
+    """Order of the n-fold wreath power of C_p: p^((p^n - 1)/(p - 1)).
+
+    The one place the order is formed.  It raises SizeLimitError when the
+    order has more than max_bits bits, and forms no order of more than
+    max_bits + 2 bits: the exponent e grows by Horner steps on
+    1 + p + ... + p^(n-1), and p^e has floor(e * log2(p)) + 1 bits, so the
+    steps stop once e * log2(p) passes max_bits + 1, past any float
+    rounding.  A hostile n costs about log_p(max_bits) steps.
+    """
     require_odd_prime(p)
     if n < 1:
         raise ValueError("need n >= 1")
-    return p ** ((p**n - 1) // (p - 1))
+    exponent, log2_p = 0, math.log2(p)
+    for _ in range(n):
+        exponent = exponent * p + 1
+        if exponent * log2_p > max_bits + 1:
+            break
+    else:
+        order = p**exponent
+        if order.bit_length() <= max_bits:
+            return order
+    raise SizeLimitError(f"the group order {p}^(({p}^{n} - 1)/{p - 1}) has more than {max_bits} bits")
 
 
 def require_certificate_input(p: int, n: int) -> None:
@@ -121,17 +145,19 @@ def require_printable_order(p: int, n: int) -> None:
     """Raise SizeLimitError unless the group order of (p, n) can be written.
 
     The order p^((p^n - 1)/(p - 1)) is written in decimal, so it must fit
-    Python's int-str digit limit.  It is never formed past the limit:
-    p^e >= 2^e, so an exponent above the bit length of 10^limit is too
-    large already, and _order_exponent stops there.  p must be an odd
+    Python's int-str digit limit.  group_order, capped at the bit length
+    of 10^limit, never forms it far past the limit.  p must be an odd
     prime and n >= 1.
     """
     limit = _int_str_limit()
     if not limit:
         return
     bound = 10**limit
-    exponent = _order_exponent(p, n, bound.bit_length())
-    if exponent is None or p**exponent >= bound:
+    try:
+        printable = group_order(p, n, bound.bit_length()) < bound
+    except SizeLimitError:
+        printable = False
+    if not printable:
         raise SizeLimitError(f"the group order {p}^(({p}^{n} - 1)/{p - 1}) has more than {limit} decimal digits")
 
 
@@ -166,16 +192,18 @@ def build_certificate(p: int, n: int, cfg: FactorConfig = FactorConfig()) -> Max
 
     For a Wieferich p no levels are computed (the proof route is closed
     regardless of witnesses) and the verdict is INDETERMINATE with an
-    explanatory note.  Size-cap failures inside the orbit, and a norm past
-    Python's int-str digit limit, propagate as SizeLimitError.  The input
-    is checked first by require_certificate_input.
+    explanatory note.  The input is checked first by
+    require_certificate_input, then a group order past MAX_ORDER_BITS is
+    refused before any level.  Size-cap failures inside the orbit, and a
+    norm past Python's int-str digit limit, propagate as SizeLimitError.
     """
     require_certificate_input(p, n)
+    order = group_order(p, n)
     wieferich = wieferich_check(p)
     points = () if wieferich else orbit_points(p, CycInt.one(p), n)
     levels = tuple(_level_record(p, m, point, cfg) for m, point in enumerate(points, 1))
     return MaximalityCertificate(
-        p=p, n=n, wieferich=wieferich, levels=levels, group_order_claimed=group_order(p, n),
+        p=p, n=n, wieferich=wieferich, levels=levels, group_order_claimed=order,
         verdict=_verdict(n, wieferich, levels), note=WIEFERICH_NOTE if wieferich else None,
     )
 
@@ -197,11 +225,11 @@ def certificate_problems(cert: MaximalityCertificate) -> list[str]:
     by modular exponentiation and the group order by its closed formula.
 
     Work is bounded by the size of the certificate: p must be below
-    DETERMINISTIC_LIMIT, the group-order exponent (p^n - 1)/(p - 1) may not
-    exceed the bit length of the claimed order, no power q^e is formed when
-    it would exceed the norm, and the orbit walk stops at the first level
-    whose norm differs, so a file buys at most one orbit step beyond the
-    norms it holds.  A large point's norm is first compared modulo a random
+    DETERMINISTIC_LIMIT, group_order forms the order only up to the bit
+    length of the claimed one (a longer order does not match), no power
+    q^e is formed when it would exceed the norm, and the orbit walk stops
+    at the first level whose norm differs, so a file buys at most one
+    orbit step beyond the norms it holds.  A large point's norm is first compared modulo a random
     prime, so a false claim there costs no exact norm.
     """
     problems: list[str] = []
@@ -216,8 +244,11 @@ def certificate_problems(cert: MaximalityCertificate) -> list[str]:
 
     if cert.wieferich != wieferich_check(p):
         problems.append(f"wieferich flag {cert.wieferich} contradicts 2^(p-1) mod p^2")
-    exponent = _order_exponent(p, n, cert.group_order_claimed.bit_length())
-    if exponent is None or cert.group_order_claimed != p**exponent:
+    try:
+        order_matches = cert.group_order_claimed == group_order(p, n, cert.group_order_claimed.bit_length())
+    except SizeLimitError:
+        order_matches = False
+    if not order_matches:
         problems.append("group_order_claimed does not match p^((p^n - 1)/(p - 1))")
     if cert.verdict not in (MAXIMAL, INDETERMINATE):
         problems.append(f"unknown verdict {cert.verdict!r}")
@@ -285,20 +316,6 @@ def _norm_differs(x: CycInt, claimed: int) -> bool:
         if x.norm(q) != claimed % q:
             return True
     return x.norm() != claimed
-
-
-def _order_exponent(p: int, n: int, limit: int) -> int | None:
-    """(p^n - 1)/(p - 1), or None once it exceeds limit.
-
-    Horner steps on 1 + p + ... + p^(n-1) stop after about log_p(limit)
-    steps, so a hostile n costs nothing; the exponent is at least n.
-    """
-    exponent = 0
-    for _ in range(n):
-        exponent = exponent * p + 1
-        if exponent > limit:
-            return None
-    return exponent
 
 
 def _power_exceeds(q: int, e: int, bound: int) -> bool:

@@ -7,7 +7,8 @@ of the same report object.
 Exit codes: 0 success/PASS, 1 a check ran and failed, 2 usage error or
 a malformed certificate file, 3 certificate verdict INDETERMINATE, 4 I/O
 error, 5 size cap exceeded (certificate only: the orbit's coefficient
-cap, or a group order or norm past Python's int-str digit limit).
+cap, the group-order bit cap, or an order or norm past Python's int-str
+digit limit).
 
 ``main(argv)`` may be called repeatedly in one process: the parser is
 built once, on the first call, and each call parses into a fresh
@@ -53,39 +54,26 @@ _MAX_CERTIFICATE_BYTES = 1 << 20
 _FIRST_READ_BYTES = 1 << 16
 
 
-def _int_arg(text: str, validate, describe: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    try:
-        validate(value)
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(f"{describe}: {exc}")
-    return value
+def _int_type(validate, describe: str):
+    """An argparse type: an integer that validate accepts, else a usage error saying why."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        try:
+            validate(value)
+        except (TypeError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(f"{describe}: {exc}")
+        return value
+
+    return parse
 
 
-def _odd_prime(text: str) -> int:
-    return _int_arg(text, require_odd_prime, "not an odd prime")
-
-
-def _ring_prime(text: str) -> int:
-    return _int_arg(text, require_ring_prime, "unusable ring prime")
-
-
-def _positive(text: str) -> int:
-    def check(v):
-        if v < 1:
-            raise ValueError("must be at least 1")
-    return _int_arg(text, check, "bad value")
-
-
-def _scan_limit(text: str) -> int:
-    return _int_arg(text, require_scan_limit, "bad scan limit")
-
-
-def _max_levels(text: str) -> int:
-    return _int_arg(text, require_max_levels, "bad level count")
+def _at_least_one(value: int) -> None:
+    if value < 1:
+        raise ValueError("must be at least 1")
 
 
 def _emit_json(obj) -> None:
@@ -195,23 +183,23 @@ def build_parser() -> argparse.ArgumentParser:
         "norm-congruence",
         help="check norm(phi^n(1)) = 2^p - 1 mod p^2 along the orbit",
     )
-    p_norm.add_argument("--p", type=_ring_prime, required=True)
-    p_norm.add_argument("--max-n", type=_max_levels, required=True)
+    p_norm.add_argument("--p", type=_int_type(require_ring_prime, "unusable ring prime"), required=True)
+    p_norm.add_argument("--max-n", type=_int_type(require_max_levels, "bad level count"), required=True)
     p_norm.add_argument("--json", action="store_true", help="emit the report as JSON")
     p_norm.set_defaults(func=cmd_norm_congruence)
 
     p_wief = sub.add_parser("wieferich", help="check or scan for Wieferich primes")
     group = p_wief.add_mutually_exclusive_group(required=True)
-    group.add_argument("--check", type=_odd_prime, metavar="P")
-    group.add_argument("--scan", type=_scan_limit, metavar="LIMIT")
+    group.add_argument("--check", type=_int_type(require_odd_prime, "not an odd prime"), metavar="P")
+    group.add_argument("--scan", type=_int_type(require_scan_limit, "bad scan limit"), metavar="LIMIT")
     p_wief.set_defaults(func=cmd_wieferich)
 
     p_cert = sub.add_parser(
         "certificate",
         help="build a maximality certificate and write it as JSON",
     )
-    p_cert.add_argument("--p", type=_odd_prime, required=True)
-    p_cert.add_argument("--max-n", type=_positive, required=True)
+    p_cert.add_argument("--p", type=_int_type(require_odd_prime, "not an odd prime"), required=True)
+    p_cert.add_argument("--max-n", type=_int_type(_at_least_one, "bad value"), required=True)
     p_cert.add_argument("--seed", type=int, default=FactorConfig.rho_seed)
     p_cert.add_argument("--out", required=True, metavar="FILE")
     p_cert.set_defaults(func=cmd_certificate)
@@ -224,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         "structure",
         help="run the Eisenstein, fixed-point and orbit-congruence checks",
     )
-    p_struct.add_argument("--p", type=_ring_prime, required=True)
-    p_struct.add_argument("--n", type=_positive, required=True)
+    p_struct.add_argument("--p", type=_int_type(require_ring_prime, "unusable ring prime"), required=True)
+    p_struct.add_argument("--n", type=_int_type(_at_least_one, "bad value"), required=True)
     p_struct.set_defaults(func=cmd_structure)
 
     return parser

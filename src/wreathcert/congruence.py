@@ -89,27 +89,25 @@ def require_max_levels(n_max: int) -> int:
     return n_max
 
 
+def _report(p: int, mode: str, residues: list[int], seed=None, coeff_bound=None) -> CongruenceReport:
+    """The report on residues 1, 2, ...: each PASSes when it is 2^p - 1 mod p^2."""
+    want = expected_residue(p)
+    items = tuple(CongruenceItem(i, r, PASS if r == want else FAIL) for i, r in enumerate(residues, 1))
+    passed = all(item.status == PASS for item in items)
+    return CongruenceReport(p, expected=want, mode=mode, seed=seed, coeff_bound=coeff_bound, items=items, passed=passed)
+
+
 def norm_congruence_check(p: int, n_max: int) -> CongruenceReport:
     """Check norm(phi^n(1)) mod p^2 for n = 1..n_max, in Z[zeta]/(p^2)."""
     require_ring_prime(p)
     require_max_levels(n_max)
-    want = expected_residue(p)
     p2 = p * p
-    items = []
+    residues = []
     x = CycInt.one(p)
-    for n in range(1, n_max + 1):
+    for _ in range(n_max):
         x = phi_at(x, p2)
-        residue = x.norm(p2)
-        items.append(CongruenceItem(n, residue, PASS if residue == want else FAIL))
-    return CongruenceReport(
-        p=p,
-        expected=want,
-        mode="orbit-norms",
-        seed=None,
-        coeff_bound=None,
-        items=tuple(items),
-        passed=all(item.status == PASS for item in items),
-    )
+        residues.append(x.norm(p2))
+    return _report(p, "orbit-norms", residues)
 
 
 def general_congruence_check(
@@ -128,26 +126,15 @@ def general_congruence_check(
         raise ValueError("need trials >= 1")
     if coeff_bound < 1:
         raise ValueError("need coeff_bound >= 1")
-    want = expected_residue(p)
     p2 = p * p
     pi = one_minus_zeta(p)
     one = CycInt.one(p)
     rng = random.Random(seed)
-    items = []
-    for t in range(1, trials + 1):
+    residues = []
+    for _ in range(trials):
         r = CycInt(p, [rng.randint(-coeff_bound, coeff_bound) for _ in range(p - 1)])
-        x = one + pi * r
-        residue = phi_at(x, p2).norm(p2)
-        items.append(CongruenceItem(t, residue, PASS if residue == want else FAIL))
-    return CongruenceReport(
-        p=p,
-        expected=want,
-        mode="randomized-lift",
-        seed=seed,
-        coeff_bound=coeff_bound,
-        items=tuple(items),
-        passed=all(item.status == PASS for item in items),
-    )
+        residues.append(phi_at(one + pi * r, p2).norm(p2))
+    return _report(p, "randomized-lift", residues, seed, coeff_bound)
 
 
 # -- Wieferich primes ---------------------------------------------------

@@ -45,7 +45,9 @@ MAX_SIEVE_LIMIT = 10**8
 class FactorConfig:
     """Knobs for factor(); the seed makes rho runs reproducible.
 
-    A trial bound outside [2, MAX_SIEVE_LIMIT] is refused when the config is made.
+    A trial bound or budget that is not an int (a bool included) is refused
+    when the config is made, as are a trial bound outside [2, MAX_SIEVE_LIMIT]
+    and a negative budget.
     """
 
     trial_bound: int = 100_000
@@ -53,8 +55,14 @@ class FactorConfig:
     rho_seed: int = 1
 
     def __post_init__(self):
+        for name in ("trial_bound", "rho_budget"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
         if not 2 <= self.trial_bound <= MAX_SIEVE_LIMIT:
             raise ValueError(f"trial_bound must be in [2, {MAX_SIEVE_LIMIT}], got {self.trial_bound}")
+        if self.rho_budget < 0:
+            raise ValueError(f"rho_budget must be at least 0, got {self.rho_budget}")
 
 
 @dataclass(frozen=True)

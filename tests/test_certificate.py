@@ -4,7 +4,9 @@ import contextlib
 import dataclasses
 import json
 import math
+import re
 import sys
+import time
 
 import pytest
 
@@ -29,7 +31,7 @@ from wreathcert import (
     one_minus_zeta,
     orbit_points,
 )
-from wreathcert.certificate import certificate_to_dict, require_printable_order
+from wreathcert.certificate import MAX_ORDER_BITS, certificate_to_dict, require_printable_order
 
 P3_WITNESSES = [(7, 1), (43, 1), (11, 2), (1429, 1), (139, 1)]
 P3_LEVEL5_NORM = 8050183582883899128838114506334853717591107  # 139 * a 136-bit prime
@@ -48,6 +50,33 @@ def test_group_order_values():
 def test_group_order_matches_recursion(p, n_top):
     for n in range(1, n_top + 1):
         assert group_order(p, n) == oracles.group_order_recursive(p, n)
+
+
+def test_group_order_refuses_past_its_bit_cap_at_once():
+    assert MAX_ORDER_BITS == 2**24
+    # about 1.32 * 10^10, 1.7 * 10^9, 1.45 * 10^8 and 1.89 * 10^7 bits:
+    # refused from the exponent alone, before any power is formed, also at
+    # (7, 9), where 2^(e * (bitlen(7) - 1)) with e = 6.7 * 10^6 is below the cap
+    for call in (
+        lambda: group_order(1093, 4),
+        lambda: group_order(3, 20),
+        lambda: group_order(3511, 3),
+        lambda: group_order(7, 9),
+        lambda: group_order(3, 10**18),
+        lambda: build_certificate(1093, 4),
+    ):
+        started = time.perf_counter()
+        with pytest.raises(SizeLimitError, match=r"has more than \d+ bits$"):
+            call()
+        assert time.perf_counter() - started < 0.1
+    # the cap is exact: an order of b bits passes a cap of b and fails b - 1
+    for p, n in ((3, 1), (3, 5), (5, 3), (7, 4), (1093, 2)):
+        order = group_order(p, n)
+        assert group_order(p, n, order.bit_length()) == order
+        bits = order.bit_length() - 1
+        message = f"the group order {p}^(({p}^{n} - 1)/{p - 1}) has more than {bits} bits"
+        with pytest.raises(SizeLimitError, match=f"^{re.escape(message)}$"):
+            group_order(p, n, bits)
 
 
 @contextlib.contextmanager
@@ -189,8 +218,12 @@ def test_verify_rejects_pth_power_exponent_rule():
 
 def test_verify_rejects_wrong_group_order():
     cert = build_certificate(3, 2)
-    bad = dataclasses.replace(cert, group_order_claimed=cert.group_order_claimed * 3)
-    assert certificate_problems(bad)
+    mismatch = "group_order_claimed does not match p^((p^n - 1)/(p - 1))"
+    # too large, too small to hold the order (refused by the bit cap), and a
+    # hostile n whose order is never formed
+    for changes in ({"group_order_claimed": 243}, {"group_order_claimed": 27}, {"group_order_claimed": 0},
+                    {"n": 10**18}):
+        assert mismatch in certificate_problems(dataclasses.replace(cert, **changes))
 
 
 def test_verify_rejects_composite_witness():

@@ -78,6 +78,21 @@ def test_norm_congruence_rejects_composite_p(capsys):
     code, _, err = run_cli(["norm-congruence", "--p", "4", "--max-n", "2"], capsys)
     assert code == EXIT_USAGE
     assert "not an odd prime" in err
+    # one bad value per argument check: each is a usage error naming the value
+    for argv, message in [
+        (["wieferich", "--check", "x"], "argument --check: 'x' is not an integer"),
+        (["wieferich", "--check", "4"], "argument --check: not an odd prime: 4 is not an odd prime"),
+        (["structure", "--p", "103", "--n", "2"],
+         "argument --p: unusable ring prime: ring arithmetic supports p <= 101, got 103"),
+        (["certificate", "--p", "3", "--max-n", "0", "--out", "-"], "argument --max-n: bad value: must be at least 1"),
+        (["wieferich", "--scan", "2"], f"argument --scan: bad scan limit: need 3 <= limit <= {MAX_SIEVE_LIMIT}, got 2"),
+        (["norm-congruence", "--p", "3", "--max-n", "1.5"], "argument --max-n: '1.5' is not an integer"),
+        (["norm-congruence", "--p", "3", "--max-n", "0"],
+         f"argument --max-n: bad level count: need 1 <= n_max <= {MAX_LEVELS}, got 0"),
+    ]:
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.endswith(f"wreathcert {argv[0]}: error: {message}\n")
 
 
 def test_norm_congruence_rejects_zero_levels(capsys):
@@ -355,6 +370,20 @@ def test_certificate_order_past_int_str_limit_exits_cap_at_once(tmp_path, capsys
     assert err == f"size cap exceeded: the group order {p}^(({p}^{n} - 1)/{p - 1}) has more than 4300 decimal digits\n"
     assert not out_path.exists()
     assert code2 == EXIT_INDETERMINATE  # 1093^1094 has 3325 digits
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
+def test_certificate_order_past_the_bit_cap_exits_cap_without_a_digit_limit(tmp_path, capsys):
+    # with no int-str limit the library's own cap on the group order still
+    # refuses (1093, 4) before the order is formed
+    out_path = tmp_path / "c.json"
+    with int_max_str_digits(0):
+        started = time.perf_counter()
+        code, _, err = run_cli(["certificate", "--p", "1093", "--max-n", "4", "--out", str(out_path)], capsys)
+        assert time.perf_counter() - started < 0.5
+    assert code == EXIT_CAP
+    assert err == "size cap exceeded: the group order 1093^((1093^4 - 1)/1092) has more than 16777216 bits\n"
+    assert not out_path.exists()
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")

@@ -110,6 +110,13 @@ def test_factor_rejects_trial_bound_past_sieve_cap():
     for bad in (1, MAX_SIEVE_LIMIT + 1, 10**12):
         with pytest.raises(ValueError, match=rf"^trial_bound must be in \[2, {MAX_SIEVE_LIMIT}\], got {bad}$"):
             FactorConfig(trial_bound=bad)
+    # wrong types fail here, not later inside the sieve or range()
+    for field, bad in (("trial_bound", 2.5), ("trial_bound", True), ("rho_budget", 1.5), ("rho_budget", False)):
+        with pytest.raises(TypeError, match=rf"^{field} must be an int, got {type(bad).__name__}$"):
+            FactorConfig(**{field: bad})
+    with pytest.raises(ValueError, match=r"^rho_budget must be at least 0, got -5$"):
+        FactorConfig(rho_budget=-5)
+    assert factor(15, FactorConfig(trial_bound=2, rho_budget=0)).cofactor == 15
 
 
 def test_primes_up_to_matches_trial_division():
