@@ -20,7 +20,6 @@ from .congruence import (
     CongruenceReport,
     expected_residue,
     general_congruence_check,
-    is_pth_power_mod_p2,
     norm_congruence_check,
     wieferich_check,
     wieferich_scan,

@@ -137,21 +137,23 @@ def require_certificate_input(p: int, n: int) -> None:
 
 
 def _int_str_limit() -> int:
-    """Python's int-str digit limit; 0 means none, as before Python 3.10.7."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    """The most decimal digits a certificate may write: Python's int-str digit limit.
+
+    Where the interpreter sets none (0, or Python before 3.10.7), CPython's
+    default of 4300 holds, so the order and the norms stay bounded.
+    """
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def require_printable_order(p: int, n: int) -> None:
     """Raise SizeLimitError unless the group order of (p, n) can be written.
 
     The order p^((p^n - 1)/(p - 1)) is written in decimal, so it must fit
-    Python's int-str digit limit.  group_order, capped at the bit length
-    of 10^limit, never forms it far past the limit.  p must be an odd
-    prime and n >= 1.
+    the int-str digit limit of _int_str_limit.  group_order, capped at the
+    bit length of 10^limit, never forms it far past the limit.  p must be
+    an odd prime and n >= 1.
     """
     limit = _int_str_limit()
-    if not limit:
-        return
     bound = 10**limit
     try:
         printable = group_order(p, n, bound.bit_length()) < bound
@@ -169,14 +171,20 @@ def _exact_exponent(n: int, q: int) -> int:
     return e
 
 
-def _level_record(p: int, m: int, point: CycInt, cfg: FactorConfig) -> LevelRecord:
+def _level_norm(m: int, point: CycInt) -> int:
+    """N(phi^m(1)), refused when it has more decimal digits than a certificate may write."""
     norm = point.norm()
     if norm <= 0:
         # the ring degree p-1 is even, so norms of nonzero elements are positive
         raise AssertionError(f"norm of level {m} is not positive: {norm}")
     limit = _int_str_limit()
-    if limit and norm >= 10**limit:  # it could not be written, so it is not factored
+    if norm >= 10**limit:  # it could not be written, so it is not factored
         raise SizeLimitError(f"the norm of level {m} has more than {limit} decimal digits")
+    return norm
+
+
+def _level_record(p: int, m: int, norm: int, cfg: FactorConfig) -> LevelRecord:
+    """Level m with norm N(phi^m(1)): the first prime of the norm whose exponent p does not divide."""
     fac = factor(norm, cfg)
     witness = None
     for q, _ in fac.factors:
@@ -194,14 +202,17 @@ def build_certificate(p: int, n: int, cfg: FactorConfig = FactorConfig()) -> Max
     regardless of witnesses) and the verdict is INDETERMINATE with an
     explanatory note.  The input is checked first by
     require_certificate_input, then a group order past MAX_ORDER_BITS is
-    refused before any level.  Size-cap failures inside the orbit, and a
-    norm past Python's int-str digit limit, propagate as SizeLimitError.
+    refused before any level.  Every level's norm is formed before any
+    witness search, so size-cap failures inside the orbit, and a norm past
+    the int-str digit limit, propagate as SizeLimitError before anything
+    is factored.
     """
     require_certificate_input(p, n)
     order = group_order(p, n)
     wieferich = wieferich_check(p)
     points = () if wieferich else orbit_points(p, CycInt.one(p), n)
-    levels = tuple(_level_record(p, m, point, cfg) for m, point in enumerate(points, 1))
+    norms = [_level_norm(m, point) for m, point in enumerate(points, 1)]
+    levels = tuple(_level_record(p, m, norm, cfg) for m, norm in enumerate(norms, 1))
     return MaximalityCertificate(
         p=p, n=n, wieferich=wieferich, levels=levels, group_order_claimed=order,
         verdict=_verdict(n, wieferich, levels), note=WIEFERICH_NOTE if wieferich else None,
@@ -229,8 +240,9 @@ def certificate_problems(cert: MaximalityCertificate) -> list[str]:
     length of the claimed one (a longer order does not match), no power
     q^e is formed when it would exceed the norm, and the orbit walk stops
     at the first level whose norm differs, so a file buys at most one
-    orbit step beyond the norms it holds.  A large point's norm is first compared modulo a random
-    prime, so a false claim there costs no exact norm.
+    orbit step beyond the norms it holds.  A large point's norm is first
+    compared modulo a random prime, so a false claim there costs no exact
+    norm.
     """
     problems: list[str] = []
     p, n = cert.p, cert.n

@@ -30,11 +30,7 @@ every point of the orbit of 1 is 1 mod pi (dynamics.orbit_congruence_check).
 Wieferich primes (2^(p-1) = 1 mod p^2) are the one hypothesis the
 certificate pipeline cannot discharge.  wieferich_check tests one p;
 wieferich_scan tests a block of primes per pow, modulo the product of
-their squares.  is_pth_power_mod_p2 decides p-th powers mod p^2: p is
-Wieferich exactly when the norm residue 2^p - 1 is one, so only then can
-the congruence not rule out p-th-power norms.  The tests check that
-equivalence, compare the scan with one pow per prime, and compare the
-p-th-power criterion with brute-force enumeration.
+their squares.  The tests compare the scan with one pow per prime.
 """
 
 from __future__ import annotations
@@ -180,21 +176,3 @@ def wieferich_scan(limit: int) -> list[int]:
             if r % (q * q) == 1:
                 found.append(q)
     return found
-
-
-# -- p-th powers mod p^2 -------------------------------------------------
-
-
-def is_pth_power_mod_p2(a: int, p: int) -> bool:
-    """Decide whether a is a p-th power mod p^2 (fast criterion).
-
-    The unit group mod p^2 is cyclic of order p(p-1), so a unit is a
-    p-th power exactly when its (p-1)-st power is 1; a multiple of p is
-    a p-th power exactly when it is 0 mod p^2.
-    """
-    require_odd_prime(p)
-    a %= p * p
-    if a % p == 0:
-        return a == 0
-    return pow(a, p - 1, p * p) == 1
-

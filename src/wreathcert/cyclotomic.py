@@ -23,21 +23,12 @@ substitution packs each operand into one int with a slot of 1, 2, 4 or 8
 bytes per coefficient (_mul_mod); a modulus too wide for 8-byte slots
 reduces the exact product.
 
-The prime ideal generated by (1 - zeta) is the unique prime above p
-(p factors as its (p-1)-st power).  Division by (1 - zeta) is exact
-division by prefix sums: x = (1 - zeta) y with s = y_(p-2) reads
-x_0 + ... + x_i = y_i + (i + 1) s, and at i = p - 2 the coordinate sum
-of x is p s.  The tests compare it with multiplication by the
-complement product prod_{k=2}^{p-1} (1 - zeta^k).
-
 All values are immutable; every operation returns a new element.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from itertools import accumulate
 from struct import Struct
 
 from .errors import RingMismatchError
@@ -208,15 +199,6 @@ class CycInt:
                 acc = _mul_mod(acc, x, p, modulus)
         return CycInt._of(p, acc)
 
-    # -- Galois action ------------------------------------------------
-
-    def conjugate(self, k: int) -> CycInt:
-        """Apply the automorphism zeta -> zeta^k (k coprime to p)."""
-        k %= self.p
-        if k == 0:
-            raise ValueError("automorphism index must be nonzero mod p")
-        return CycInt._of(self.p, _conj(self.coeffs, k, self.p))
-
     # -- norm ----------------------------------------------------------
 
     def norm(self, modulus: int | None = None) -> int:
@@ -252,32 +234,6 @@ class CycInt:
         return y[0]
 
     # -- the prime above p ---------------------------------------------
-
-    def divide_by_pi(self) -> CycInt | None:
-        """Exact quotient by (1 - zeta), or None when not divisible.
-
-        x is divisible exactly when its coordinate sum S (its image under
-        zeta -> 1) is divisible by p; then with s = S / p the quotient has
-        coordinates y_i = (x_0 + ... + x_i) - (i + 1) s.
-        """
-        s, r = divmod(sum(self.coeffs), self.p)
-        if r:
-            return None
-        prefixes = accumulate(self.coeffs)
-        return CycInt._of(self.p, tuple(x - i * s for i, x in enumerate(prefixes, 1)))
-
-    def pi_valuation(self) -> int | float:
-        """Exact (1 - zeta)-adic valuation; math.inf for zero."""
-        if self.is_zero():
-            return math.inf
-        v = 0
-        x = self
-        while True:
-            y = x.divide_by_pi()
-            if y is None:
-                return v
-            v += 1
-            x = y
 
     def congruent_mod_pi(self, other) -> bool:
         """True when self - other lies in the ideal (1 - zeta)."""

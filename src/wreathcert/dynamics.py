@@ -74,9 +74,6 @@ class CycPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def constant_term(self) -> CycInt:
-        return self.coeffs[0] if self.coeffs else CycInt.zero(self.p)
-
     def leading_coefficient(self) -> CycInt:
         return self.coeffs[-1] if self.coeffs else CycInt.zero(self.p)
 

@@ -1,6 +1,7 @@
-"""Second algorithms that the tests compare the library's results with.
+"""Second algorithms that the tests compare the library's results with,
+and the math that only the tests use.
 
-Each one answers a question the library answers another way:
+Each of these answers a question the library answers another way:
 
 * the structural facts, read off the expanded iterate phi^n (from
   iterate_poly) and off explicit orbit walks, where the library reads
@@ -14,17 +15,23 @@ Each one answers a question the library answers another way:
   big-integer product at all 25 ring primes;
 * polynomial multiply by the schoolbook sum of CycInt products, where
   the library lays both polynomials out in one integer vector and
-  convolves that once;
-* division by (1 - zeta) through the complement product
-  prod_{k=2}^{p-1} (1 - zeta^k), whose product with (1 - zeta) is p,
-  where the library divides by prefix sums;
-* p-th powers mod p^2 by enumerating x^p for every residue x, where
-  the library uses the cyclic unit group.
+  convolves that once.
+
+Two more answer questions no production path asks, so the tests tie them
+to each other or to what the library does compute:
+
+* the (1 - zeta)-adic valuation, by repeated division through the
+  complement product prod_{k=2}^{p-1} (1 - zeta^k), whose product with
+  (1 - zeta) is p; the tests tie it to multiplication by (1 - zeta) and
+  to the norm, which p divides exactly when the valuation is positive;
+* p-th powers mod p^2, by the cyclic unit group and by enumerating x^p
+  for every residue x, which the tests compare.
 
 phi is looked up on wreathcert.dynamics at call time, by the orbit walks
 here and by iterate_poly, so a test that replaces it sees both follow.
 """
 
+import math
 from functools import lru_cache
 
 from wreathcert import CycInt, CycPoly, dynamics, iterate_poly, one_minus_zeta, zeta
@@ -38,7 +45,7 @@ def expanded_eisenstein_failures(p: int, n: int) -> list[str]:
     failures = []
     if f.leading_coefficient() != 1:
         failures.append("leading coefficient differs from 1")
-    if f.constant_term() != one_minus_zeta(p):
+    if f.coeffs[0] != one_minus_zeta(p):
         failures.append("constant term differs from 1 - zeta")
     for i in range(1, f.degree):
         if any(c % p for c in f.coeffs[i].coeffs):
@@ -132,7 +139,31 @@ def divide_by_pi_complement(x: CycInt) -> CycInt | None:
     return CycInt(p, tuple(c // p for c in prod.coeffs))
 
 
+def pi_valuation(x: CycInt) -> int | float:
+    """The exponent of (1 - zeta) in x, by repeated division; math.inf for zero."""
+    if x.is_zero():
+        return math.inf
+    v = 0
+    while (x := divide_by_pi_complement(x)) is not None:
+        v += 1
+    return v
+
+
 # -- p-th powers mod p^2 -----------------------------------------------------
+
+
+def is_pth_power_mod_p2(a: int, p: int) -> bool:
+    """Whether a is a p-th power mod p^2, by the structure of the unit group.
+
+    The unit group mod p^2 is cyclic of order p(p-1), so a unit is a
+    p-th power exactly when its (p-1)-st power is 1; a multiple of p is
+    a p-th power exactly when it is 0 mod p^2.
+    """
+    p2 = p * p
+    a %= p2
+    if a % p == 0:
+        return a == 0
+    return pow(a, p - 1, p2) == 1
 
 
 def is_pth_power_mod_p2_bruteforce(a: int, p: int) -> bool:

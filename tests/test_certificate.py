@@ -1,6 +1,5 @@
 """Certificate assembly, independent re-verification, serialization."""
 
-import contextlib
 import dataclasses
 import json
 import math
@@ -12,6 +11,7 @@ import pytest
 
 import oracles
 
+from wreathcert import cyclotomic
 from wreathcert import (
     DETERMINISTIC_LIMIT,
     INDETERMINATE,
@@ -79,31 +79,24 @@ def test_group_order_refuses_past_its_bit_cap_at_once():
             group_order(p, n, bits)
 
 
-@contextlib.contextmanager
-def int_max_str_digits(limit):
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
-def test_printable_order_follows_the_int_str_limit():
+def test_printable_order_follows_the_int_str_limit(set_int_str_limit):
     digits = len(str(group_order(3, 8)))  # 3^3280 has 1566 digits
-    with int_max_str_digits(digits):
+    set_int_str_limit(digits)
+    require_printable_order(3, 8)
+    set_int_str_limit(digits - 1)
+    with pytest.raises(SizeLimitError, match=f"more than {digits - 1} decimal digits"):
         require_printable_order(3, 8)
-    with int_max_str_digits(digits - 1):
-        with pytest.raises(SizeLimitError, match=f"more than {digits - 1} decimal digits"):
-            require_printable_order(3, 8)
-    with int_max_str_digits(4300):
-        require_printable_order(1093, 2)  # 3325 digits
-        for p, n in ((3, 9), (1093, 3), (1093, 4), (1093, 10**6)):
-            with pytest.raises(SizeLimitError):
-                require_printable_order(p, n)
-    with int_max_str_digits(0):  # no limit
-        require_printable_order(1093, 4)
+    set_int_str_limit(4300)
+    require_printable_order(1093, 2)  # 3325 digits
+    for p, n in ((3, 9), (1093, 3), (1093, 4), (1093, 10**6)):
+        with pytest.raises(SizeLimitError):
+            require_printable_order(p, n)
+    set_int_str_limit(0)  # no limit: CPython's default of 4300 digits holds
+    require_printable_order(1093, 2)
+    for n in (3, 4):
+        with pytest.raises(SizeLimitError, match="more than 4300 decimal digits"):
+            require_printable_order(1093, n)
 
 
 @pytest.mark.parametrize("p,n", [(3, 6), (5, 3), (7, 3), (11, 2), (13, 2)])
@@ -117,7 +110,8 @@ def test_levels_are_pairwise_coprime(p, n):
     for m, x in enumerate(points[:-1], 1):
         norm = x.norm()
         assert norm % p == 1
-        x_star = math.prod((x.conjugate(k) for k in range(2, p)), start=CycInt.one(p))
+        conjugates = (CycInt(p, cyclotomic._conj(x.coeffs, k, p)) for k in range(2, p))
+        x_star = math.prod(conjugates, start=CycInt.one(p))
         for k, later in enumerate(points[m:], m + 1):
             assert all(c % norm == 0 for c in ((later - pi) * x_star).coeffs), (m, k)
             assert math.gcd(norm, later.norm()) == 1

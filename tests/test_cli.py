@@ -1,6 +1,5 @@
 """CLI surface: subcommands, exit codes, JSON stability."""
 
-import contextlib
 import json
 import math
 import os
@@ -23,16 +22,6 @@ from wreathcert.cli import (
 from wreathcert.certificate import build_certificate, certificate_to_json
 from wreathcert.congruence import MAX_LEVELS
 from wreathcert.factoring import MAX_SIEVE_LIMIT, FactorConfig
-
-
-@contextlib.contextmanager
-def int_max_str_digits(limit):
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
 
 
 def run_cli(argv, capsys):
@@ -334,18 +323,14 @@ def test_verify_oversized_integer_is_malformed(tmp_path, capsys):
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
-def test_certificate_past_int_str_limit_exits_cap(monkeypatch, tmp_path, capsys):
+def test_certificate_past_int_str_limit_exits_cap(monkeypatch, tmp_path, capsys, set_int_str_limit):
     # the backstop when writing the file meets an integer past the limit:
     # the group order 1093^1094 has 3325 decimal digits, and the check made
     # before any work is switched off so that the order reaches the writer
     monkeypatch.setattr("wreathcert.cli.require_printable_order", lambda p, n: None)
     out_path = tmp_path / "w.json"
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        code, _, err = run_cli(["certificate", "--p", "1093", "--max-n", "2", "--out", str(out_path)], capsys)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    set_int_str_limit(640)
+    code, _, err = run_cli(["certificate", "--p", "1093", "--max-n", "2", "--out", str(out_path)], capsys)
     assert code == EXIT_CAP
     assert "size cap exceeded" in err
     assert not out_path.exists()
@@ -353,19 +338,15 @@ def test_certificate_past_int_str_limit_exits_cap(monkeypatch, tmp_path, capsys)
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
 @pytest.mark.parametrize("p,n", [(1093, 4), (3, 9)])
-def test_certificate_order_past_int_str_limit_exits_cap_at_once(tmp_path, capsys, p, n):
+def test_certificate_order_past_int_str_limit_exits_cap_at_once(tmp_path, capsys, set_int_str_limit, p, n):
     # 1093^((1093^4 - 1)/1092) has about 4 * 10^9 digits and 3^9841 has 4696:
     # refused before the order, an orbit point or a factorization is formed
     out_path = tmp_path / "c.json"
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        started = time.perf_counter()
-        code, _, err = run_cli(["certificate", "--p", str(p), "--max-n", str(n), "--out", str(out_path)], capsys)
-        assert time.perf_counter() - started < 0.5
-        code2, _, _ = run_cli(["certificate", "--p", "1093", "--max-n", "2", "--out", str(tmp_path / "w.json")], capsys)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    set_int_str_limit(4300)
+    started = time.perf_counter()
+    code, _, err = run_cli(["certificate", "--p", str(p), "--max-n", str(n), "--out", str(out_path)], capsys)
+    assert time.perf_counter() - started < 0.5
+    code2, _, _ = run_cli(["certificate", "--p", "1093", "--max-n", "2", "--out", str(tmp_path / "w.json")], capsys)
     assert code == EXIT_CAP
     assert err == f"size cap exceeded: the group order {p}^(({p}^{n} - 1)/{p - 1}) has more than 4300 decimal digits\n"
     assert not out_path.exists()
@@ -373,17 +354,19 @@ def test_certificate_order_past_int_str_limit_exits_cap_at_once(tmp_path, capsys
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
-def test_certificate_order_past_the_bit_cap_exits_cap_without_a_digit_limit(tmp_path, capsys):
-    # with no int-str limit the library's own cap on the group order still
-    # refuses (1093, 4) before the order is formed
-    out_path = tmp_path / "c.json"
-    with int_max_str_digits(0):
+def test_certificate_order_past_the_bit_cap_exits_cap_without_a_digit_limit(tmp_path, capsys, set_int_str_limit):
+    # with no int-str limit CPython's default of 4300 digits still refuses
+    # (1093, 3), whose order has about 3.6 * 10^6 digits, and (1093, 4),
+    # past the library's own bit cap, before either order is formed
+    set_int_str_limit(0)
+    for n in (3, 4):
+        out_path = tmp_path / f"c{n}.json"
         started = time.perf_counter()
-        code, _, err = run_cli(["certificate", "--p", "1093", "--max-n", "4", "--out", str(out_path)], capsys)
+        code, _, err = run_cli(["certificate", "--p", "1093", "--max-n", str(n), "--out", str(out_path)], capsys)
         assert time.perf_counter() - started < 0.5
-    assert code == EXIT_CAP
-    assert err == "size cap exceeded: the group order 1093^((1093^4 - 1)/1092) has more than 16777216 bits\n"
-    assert not out_path.exists()
+        assert code == EXIT_CAP
+        assert err == f"size cap exceeded: the group order 1093^((1093^{n} - 1)/1092) has more than 4300 decimal digits\n"
+        assert not out_path.exists()
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
@@ -394,27 +377,45 @@ def test_certificate_order_past_the_bit_cap_exits_cap_without_a_digit_limit(tmp_
     ],
     ids=["ring prime"],
 )
-def test_certificate_usage_error_outranks_the_size_cap(tmp_path, capsys, argv, error):
+def test_certificate_usage_error_outranks_the_size_cap(tmp_path, capsys, set_int_str_limit, argv, error):
     # the group order is past the limit, but the input is checked first
     out_path = tmp_path / "c.json"
-    with int_max_str_digits(4300):
-        code, _, err = run_cli(["certificate", *argv, "--out", str(out_path)], capsys)
+    set_int_str_limit(4300)
+    code, _, err = run_cli(["certificate", *argv, "--out", str(out_path)], capsys)
     assert code == EXIT_USAGE
     assert err == f"error: {error}\n"
     assert not out_path.exists()
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
-def test_certificate_norm_past_int_str_limit_exits_cap_before_factoring(tmp_path, capsys):
+def test_certificate_norm_past_int_str_limit_exits_cap_before_factoring(tmp_path, capsys, set_int_str_limit):
     # the group order 17^307 has 378 digits and passes; the level-3 norm has
     # 684 and is refused before its witness search
     out_path = tmp_path / "c.json"
-    with int_max_str_digits(640):
-        started = time.perf_counter()
-        code, _, err = run_cli(["certificate", "--p", "17", "--max-n", "3", "--out", str(out_path)], capsys)
-        assert time.perf_counter() - started < 0.5
+    set_int_str_limit(640)
+    started = time.perf_counter()
+    code, _, err = run_cli(["certificate", "--p", "17", "--max-n", "3", "--out", str(out_path)], capsys)
+    assert time.perf_counter() - started < 0.5
     assert code == EXIT_CAP
     assert err == "size cap exceeded: the norm of level 3 has more than 640 decimal digits\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
+def test_certificate_forms_every_norm_before_any_witness_search(monkeypatch, tmp_path, capsys, set_int_str_limit):
+    # the level-3 norm at (37, 3) is past 4300 digits; levels 1 and 2 are
+    # not searched for a witness first, where rho on level 2 takes seconds
+    def no_search(n, cfg):
+        raise AssertionError(f"witness search on a {n.bit_length()}-bit norm")
+
+    monkeypatch.setattr("wreathcert.certificate.factor", no_search)
+    out_path = tmp_path / "c.json"
+    set_int_str_limit(4300)
+    started = time.perf_counter()
+    code, _, err = run_cli(["certificate", "--p", "37", "--max-n", "3", "--out", str(out_path)], capsys)
+    assert time.perf_counter() - started < 3
+    assert code == EXIT_CAP
+    assert err == "size cap exceeded: the norm of level 3 has more than 4300 decimal digits\n"
     assert not out_path.exists()
 
 
