@@ -43,7 +43,7 @@ from .dynamics import (
     iterate_poly,
     orbit_congruence_check,
     orbit_points,
-    phi,
+    phi_at,
 )
 from .errors import RingMismatchError, SizeLimitError
 from .factoring import (

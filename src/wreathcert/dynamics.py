@@ -1,41 +1,44 @@
 """The map phi(z) = (z - 1)^p + 2 - zeta and its iterates over Z[zeta_p].
 
-Points are iterated by the closed form phi(x) = (x - 1)^p + (2 - zeta),
-with the p-th power taken by square-and-multiply: O(log p) ring
-multiplies per step where Horner's rule on the expanded phi takes p.
-The expanded n-th iterate is only ever built when explicitly requested,
-because its degree is p^n while a point's coefficients merely grow
-p-fold per step.
+phi_at is the one definition of phi: it evaluates the closed form
+phi(x) = (x - 1)^p + (2 - zeta), with the p-th power taken by
+square-and-multiply, O(log p) ring multiplies per step.  Certificates,
+their verification, the norm congruence and the structural checks all
+evaluate it.  The expanded n-th iterate is only ever built when
+explicitly requested, because its degree is p^n while a point's
+coefficients merely grow p-fold per step.
 Both directions carry fixed size caps, MAX_COEFF_BITS and
 MAX_POLY_COEFFS (SizeLimitError), since growth is doubly exponential in n.
 The coefficient cap guards the exact orbit that certificates and their
 verification walk; the orbit congruence steps with phi_at(x, p^2)
 instead, whose coefficients stay below p^2, so it needs no cap.
 
-The structural checks read phi's own coefficients and values and hold
-for every n by a one-step induction, so their cost does not depend on n:
+The structural checks read phi's values and the binomials of its
+closed form, and hold for every n by a one-step induction, so their
+cost does not depend on n:
 
 * fixed_point_check: phi(0) = 1 - zeta and phi(1 - zeta) = 1 - zeta,
   so phi^s(0) = 1 - zeta for every s >= 1.
 * orbit_congruence_check: phi(1) = 1 mod (1 - zeta).  A polynomial over
   Z[zeta] maps congruent points to congruent values, so phi^t(1) = 1
   mod (1 - zeta) for every t >= 0.
-* eisenstein_check: phi is monic of degree p and its coefficients of
-  z^1..z^(p-1) are divisible by p, so phi = z^p + phi(0) mod p.  By
-  Frobenius in (Z[zeta]/p)[z], phi^n = z^(p^n) + phi^n(0) mod p, and
-  phi^n(0) = 1 - zeta by the fixed-point facts: phi^n is monic,
-  Eisenstein at (1 - zeta), with constant term exactly 1 - zeta.
+* eisenstein_check: (z - 1)^p is monic of degree p and its coefficients
+  of z^1..z^(p-1), +-C(p, i), are divisible by p, so phi = z^p + phi(0)
+  mod p.  By Frobenius in (Z[zeta]/p)[z], phi^n = z^(p^n) + phi^n(0)
+  mod p, and phi^n(0) = 1 - zeta by the fixed-point facts: phi^n is
+  monic, Eisenstein at (1 - zeta), with constant term exactly 1 - zeta.
 
-CycPoly holds phi and the expanded iterate, and only multiplies and
-evaluates: iterate_poly forms (g - 1)^p + (2 - zeta) by shifting g's
-constant term and squaring and multiplying, and the tests use that
-expanded iterate as the oracle for these checks.
+CycPoly holds the expanded iterate, and only multiplies and evaluates:
+iterate_poly composes phi with itself, starting from z, by shifting the
+constant term, squaring and multiplying, and the tests use that expanded
+iterate as the oracle for the checks and for phi_at.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .cyclotomic import CycInt, _convolve, _wrap, one_minus_zeta, require_ring_prime
@@ -73,9 +76,6 @@ class CycPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def leading_coefficient(self) -> CycInt:
-        return self.coeffs[-1] if self.coeffs else CycInt.zero(self.p)
 
     def __eq__(self, other):
         if isinstance(other, CycPoly):
@@ -124,28 +124,21 @@ def _slotted(coeffs, w: int) -> list:
     return flat
 
 
-def phi(p: int) -> CycPoly:
-    """The degree-p monic map (z - 1)^p + 2 - zeta over Z[zeta_p]."""
-    require_ring_prime(p)
-    coeffs = [one_minus_zeta(p)]  # (-1)^p + 2 - zeta
-    for i in range(1, p + 1):
-        c = math.comb(p, i)
-        if (p - i) % 2:
-            c = -c
-        coeffs.append(CycInt.from_int(p, c))
-    return CycPoly(p, coeffs)
+@lru_cache(maxsize=None)
+def _two_minus_zeta(p: int) -> CycInt:
+    """The constant 2 - zeta of phi, formed once per p."""
+    return CycInt(p, (2, -1))
 
 
 def phi_at(x: CycInt, modulus: int | None = None) -> CycInt:
     """phi(x) = (x - 1)^p + (2 - zeta), with the power by square-and-multiply.
 
-    Equal to phi(p)(x), the Horner evaluation of the expanded phi, in
-    O(log p) ring multiplies instead of p.  With a modulus m the power
-    runs in (Z/m)[zeta] and the result is phi(x) with each coordinate
-    reduced into [0, m).
+    O(log p) ring multiplies, where Horner's rule on the expanded phi
+    takes p.  With a modulus m the power runs in (Z/m)[zeta] and the
+    result is phi(x) with each coordinate reduced into [0, m).
     """
     p = x.p
-    y = pow(x - 1, p, modulus) + CycInt._of(p, (2, -1) + (0,) * (p - 3))
+    y = pow(x - 1, p, modulus) + _two_minus_zeta(p)
     return y if modulus is None else CycInt._of(p, tuple(c % modulus for c in y.coeffs))
 
 
@@ -199,9 +192,9 @@ def iterate_poly(p: int, n: int) -> CycPoly:
     # p^n >= 2^n, so a large n is refused before p^n is formed
     if n >= MAX_POLY_COEFFS.bit_length() or p**n + 1 > MAX_POLY_COEFFS:
         raise SizeLimitError(f"degree p^n = {p}^{n} needs more than the {MAX_POLY_COEFFS}-coefficient cap")
-    one, tail = CycPoly(p, (CycInt.one(p),)), CycInt(p, (2, -1))  # 1 and 2 - zeta
-    g = phi(p)
-    for _ in range(n - 1):
+    one, tail = CycPoly(p, (CycInt.one(p),)), _two_minus_zeta(p)
+    g = CycPoly(p, (CycInt.zero(p), CycInt.one(p)))  # z, so g = phi after one step
+    for _ in range(n):
         # phi(g) = (g - 1)^p + (2 - zeta): shift the constant term, raise to
         # the p-th power by square-and-multiply, shift it back by 2 - zeta
         base, result, e = CycPoly(p, (g.coeffs[0] - 1,) + g.coeffs[1:]), one, p
@@ -235,13 +228,13 @@ class StructureReport:
         return "PASS" if self.passed else "REFUTED"
 
 
-def _phi_fixes_pi(f: CycPoly, p: int) -> list[str]:
+def _phi_fixes_pi(p: int) -> list[str]:
     """Failures of phi(0) = 1 - zeta = phi(1 - zeta)."""
     target = one_minus_zeta(p)
     failures = []
-    if f(CycInt.zero(p)) != target:
+    if phi_at(CycInt.zero(p)) != target:
         failures.append("phi(0) differs from 1 - zeta")
-    if f(target) != target:
+    if phi_at(target) != target:
         failures.append("1 - zeta is not a fixed point of phi")
     return failures
 
@@ -249,21 +242,16 @@ def _phi_fixes_pi(f: CycPoly, p: int) -> list[str]:
 def eisenstein_check(p: int) -> StructureReport:
     """Check phi^n is Eisenstein at the prime above p, from phi alone.
 
-    phi must be monic of degree p with every basis coordinate of its
-    coefficients of z^1..z^(p-1) divisible by p.  Then phi = z^p + phi(0)
-    mod p, and by induction with Frobenius phi^n = z^(p^n) + phi^n(0)
-    mod p; phi^n is monic, and its constant term phi^n(0) is exactly
-    1 - zeta when phi(0) = 1 - zeta = phi(1 - zeta).  The verdict holds
-    for every n.
+    The coefficients of z^1..z^(p-1) in phi are +-C(p, i), so they must
+    be divisible by p; (z - 1)^p is monic of degree p by construction.
+    Then phi = z^p + phi(0) mod p, and by induction with Frobenius
+    phi^n = z^(p^n) + phi^n(0) mod p; phi^n is monic, and its constant
+    term phi^n(0) is exactly 1 - zeta when phi(0) = 1 - zeta =
+    phi(1 - zeta).  The verdict holds for every n.
     """
-    f = phi(p)
-    failures = []
-    if f.degree != p or f.leading_coefficient() != 1:
-        failures.append(f"phi is not monic of degree {p}")
-    for i in range(1, f.degree):
-        if any(c % p for c in f.coeffs[i].coeffs):
-            failures.append(f"coefficient of z^{i} is not divisible by {p}")
-    failures += _phi_fixes_pi(f, p)
+    require_ring_prime(p)
+    failures = [f"coefficient of z^{i} is not divisible by {p}" for i in range(1, p) if math.comb(p, i) % p]
+    failures += _phi_fixes_pi(p)
     return StructureReport("eisenstein", p, tuple(failures))
 
 
@@ -273,7 +261,8 @@ def fixed_point_check(p: int) -> StructureReport:
     phi(0) = 1 - zeta and phi(1 - zeta) = 1 - zeta give phi^s(0) = 1 - zeta
     for every s >= 1 by induction.
     """
-    return StructureReport("fixed_point", p, tuple(_phi_fixes_pi(phi(p), p)))
+    require_ring_prime(p)
+    return StructureReport("fixed_point", p, tuple(_phi_fixes_pi(p)))
 
 
 def orbit_congruence_check(p: int) -> StructureReport:
@@ -283,7 +272,8 @@ def orbit_congruence_check(p: int) -> StructureReport:
     phi(x) = phi(1) mod (1 - zeta); phi(1) = 1 mod (1 - zeta) then carries
     the congruence along the whole orbit.
     """
+    require_ring_prime(p)
     failures = []
-    if not phi(p)(CycInt.one(p)).congruent_mod_pi(1):
+    if not phi_at(CycInt.one(p)).congruent_mod_pi(1):
         failures.append("phi(1) is not congruent to 1 mod (1 - zeta)")
     return StructureReport("orbit_congruence", p, tuple(failures))

@@ -3,9 +3,12 @@ and the math that only the tests use.
 
 Each of these answers a question the library answers another way:
 
+* phi itself, expanded by the binomial theorem, where the library
+  evaluates the closed form (phi_at) and composes it (iterate_poly);
 * the structural facts, read off the expanded iterate phi^n (from
-  iterate_poly) and off explicit orbit walks, where the library reads
-  them off phi's own coefficients and values by induction;
+  iterate_poly) and off explicit orbit walks with its Horner evaluation,
+  where the library reads them off phi_at's values and the binomials by
+  induction;
 * the group order by the recursion |W_1| = p, |W_k| = |W_(k-1)|^p * p,
   where the library uses the closed formula p^((p^n - 1)/(p - 1));
 * ring multiply by the schoolbook convolution of the coefficient
@@ -20,30 +23,41 @@ Each of these answers a question the library answers another way:
 Two more answer questions no production path asks, so the tests tie them
 to each other or to what the library does compute:
 
-* the (1 - zeta)-adic valuation, by repeated division through the
-  complement product prod_{k=2}^{p-1} (1 - zeta^k), whose product with
-  (1 - zeta) is p; the tests tie it to multiplication by (1 - zeta) and
-  to the norm, which p divides exactly when the valuation is positive;
+* the (1 - zeta)-adic valuation, by repeated exact division by
+  (1 - zeta) in O(p) per division; the tests compare that division with
+  a second one through the complement product prod_{k=2}^{p-1} (1 - zeta^k),
+  whose product with (1 - zeta) is p, and tie the valuation to
+  multiplication by (1 - zeta) and to the norm, which p divides exactly
+  when the valuation is positive;
 * p-th powers mod p^2, by the cyclic unit group and by enumerating x^p
   for every residue x, which the tests compare.
-
-phi is looked up on wreathcert.dynamics at call time, by the orbit walks
-here and by iterate_poly, so a test that replaces it sees both follow.
 """
 
 import math
 from functools import lru_cache
+from itertools import accumulate
 
-from wreathcert import CycInt, CycPoly, dynamics, iterate_poly, one_minus_zeta, zeta
+from wreathcert import CycInt, CycPoly, iterate_poly, one_minus_zeta, zeta
 
-# -- structural facts ------------------------------------------------------
+# -- phi and the structural facts --------------------------------------------
+
+
+def phi_by_binomials(p: int) -> CycPoly:
+    """phi = (z - 1)^p + 2 - zeta, expanded term by term by the binomial theorem."""
+    coeffs = [one_minus_zeta(p)]  # (-1)^p + 2 - zeta
+    for i in range(1, p + 1):
+        c = math.comb(p, i)
+        if (p - i) % 2:
+            c = -c
+        coeffs.append(CycInt.from_int(p, c))
+    return CycPoly(p, coeffs)
 
 
 def expanded_eisenstein_failures(p: int, n: int) -> list[str]:
     """Eisenstein shape of the expanded phi^n at the prime above p."""
     f = iterate_poly(p, n)
     failures = []
-    if f.leading_coefficient() != 1:
+    if f.coeffs[-1] != 1:
         failures.append("leading coefficient differs from 1")
     if f.coeffs[0] != one_minus_zeta(p):
         failures.append("constant term differs from 1 - zeta")
@@ -55,7 +69,7 @@ def expanded_eisenstein_failures(p: int, n: int) -> list[str]:
 
 def walked_fixed_point_failures(p: int, s_max: int) -> list[str]:
     """phi^s(0) = 1 - zeta for s = 1..s_max, iterate by iterate."""
-    f = dynamics.phi(p)
+    f = iterate_poly(p, 1)
     target = one_minus_zeta(p)
     failures = []
     x = CycInt.zero(p)
@@ -68,7 +82,7 @@ def walked_fixed_point_failures(p: int, s_max: int) -> list[str]:
 
 def walked_orbit_congruence_failures(p: int, t_max: int) -> list[str]:
     """phi^t(1) = 1 mod (1 - zeta) for t = 0..t_max, iterate by iterate."""
-    f = dynamics.phi(p)
+    f = iterate_poly(p, 1)
     one = CycInt.one(p)
     failures = []
     x = one
@@ -130,6 +144,23 @@ def pi_complement(p: int) -> CycInt:
     return acc
 
 
+def divide_by_pi(x: CycInt) -> CycInt | None:
+    """x / (1 - zeta) in O(p), or None when not exact.
+
+    Lift x to Z[X]/(X^p - 1) with a zero coefficient of X^(p - 1); it is
+    x + t (1 + X + ... + X^(p - 1)) for any integer t in Z[zeta].  The
+    image of 1 - X has coefficient sum 0, so the division is exact iff p
+    divides the sum s of x's coefficients, and with t = -s/p the quotient
+    Q solves Q_i - Q_(i-1) = x_i + t: its coefficients are the prefix sums.
+    """
+    p = x.p
+    s = sum(x.coeffs)
+    if s % p:
+        return None
+    t = -s // p
+    return CycInt(p, tuple(accumulate(c + t for c in x.coeffs)))
+
+
 def divide_by_pi_complement(x: CycInt) -> CycInt | None:
     """x / (1 - zeta) as x * pi_complement(p) / p, or None when not exact."""
     p = x.p
@@ -144,7 +175,7 @@ def pi_valuation(x: CycInt) -> int | float:
     if x.is_zero():
         return math.inf
     v = 0
-    while (x := divide_by_pi_complement(x)) is not None:
+    while (x := divide_by_pi(x)) is not None:
         v += 1
     return v
 

@@ -5,10 +5,11 @@ import math
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from wreathcert import CycInt, CycPoly, expected_residue, is_prime, orbit_points, phi
+from wreathcert import CycInt, expected_residue, is_prime, orbit_points, phi_at
 from wreathcert.cli import (
     EXIT_CAP,
     EXIT_FAIL,
@@ -467,7 +468,8 @@ def test_structure_pass(capsys):
 
 
 def test_structure_has_no_cap(capsys):
-    # the checks read phi alone, so any n costs the same
+    # the checks evaluate phi_at at three points and read p - 1 binomials,
+    # so any n costs the same
     for p, n in [(3, 9), (3, 1000), (101, 10**6)]:
         started = time.perf_counter()
         code, out, err = run_cli(["structure", "--p", str(p), "--n", str(n)], capsys)
@@ -478,14 +480,26 @@ def test_structure_has_no_cap(capsys):
 
 
 def test_structure_refuted_exits_fail(monkeypatch, capsys):
-    coeffs = list(phi(5).coeffs)
-    coeffs[1] = coeffs[1] + 1  # z^1 coefficient 6, not divisible by 5
-    bad = CycPoly(5, coeffs)
-    monkeypatch.setattr("wreathcert.dynamics.phi", lambda p: bad)
+    def bad_comb(n, k):
+        return math.comb(n, k) + (k == 1)  # z^1 coefficient 6, not divisible by 5
+
+    assert bad_comb(5, 1) % 5
+    monkeypatch.setattr("wreathcert.dynamics.math", SimpleNamespace(comb=bad_comb))
     code, out, _ = run_cli(["structure", "--p", "5", "--n", "2"], capsys)
     assert code == EXIT_FAIL
     assert f"  {'eisenstein':<18} REFUTED" in out
     assert "coefficient of z^1 is not divisible by 5" in out
+    assert f"  {'fixed_point':<18} PASS" in out
+
+    def bad_phi_at(x, modulus=None):
+        return phi_at(x, modulus) + 1  # phi(0) = 2 - zeta, phi(1) = 3 - zeta
+
+    assert not bad_phi_at(CycInt.one(5)).congruent_mod_pi(1)
+    monkeypatch.setattr("wreathcert.dynamics.phi_at", bad_phi_at)
+    code, out, _ = run_cli(["structure", "--p", "5", "--n", "2"], capsys)
+    assert code == EXIT_FAIL
+    assert f"  {'orbit_congruence':<18} REFUTED" in out
+    assert "phi(1) is not congruent to 1 mod (1 - zeta)" in out
 
 
 def test_threads_flag_removed(tmp_path, capsys):

@@ -371,19 +371,26 @@ def test_pi_valuation_examples():
 
 
 def test_divide_by_pi_examples():
-    q = oracles.divide_by_pi_complement(CycInt.from_int(3, 3))
-    assert q == CycInt(3, (2, 1))
-    assert q.norm() == 3
-    assert oracles.divide_by_pi_complement(CycInt(3, (2, -1))) is None
-    assert oracles.divide_by_pi_complement(one_minus_zeta(3)) == CycInt.one(3)
+    for divide in (oracles.divide_by_pi, oracles.divide_by_pi_complement):
+        q = divide(CycInt.from_int(3, 3))
+        assert q == CycInt(3, (2, 1))
+        assert q.norm() == 3
+        assert divide(CycInt(3, (2, -1))) is None
+        assert divide(one_minus_zeta(3)) == CycInt.one(3)
 
 
 def test_divide_by_pi_inverts_multiplication():
+    # the O(p) prefix-sum division, and at p <= 13 the division through the
+    # complement product as a cross-check, on exact and inexact quotients
     rng = random.Random(53)
-    for p in (3, 7):
+    for p in (3, 5, 7, 11, 13, 101):
+        pi = one_minus_zeta(p)
         for _ in range(50):
             a = rand_elem(rng, p, 1000)
-            assert oracles.divide_by_pi_complement(one_minus_zeta(p) * a) == a
+            assert oracles.divide_by_pi(pi * a) == a
+            if p <= 13:
+                for x in (a, pi * a, CycInt.from_int(p, p) * a):
+                    assert oracles.divide_by_pi(x) == oracles.divide_by_pi_complement(x)
 
 
 def test_valuation_additivity():

@@ -1,6 +1,8 @@
 """The map phi, point orbits, the expanded iterate, and structural checks."""
 
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +13,7 @@ from wreathcert import (
     CycPoly,
     RingMismatchError,
     SizeLimitError,
+    dynamics,
     eisenstein_check,
     fixed_point_check,
     iterate_point,
@@ -18,14 +21,13 @@ from wreathcert import (
     one_minus_zeta,
     orbit_congruence_check,
     orbit_points,
-    phi,
+    phi_at,
     zeta,
 )
-from wreathcert.dynamics import phi_at
 
 
 def test_phi_p3_coefficients():
-    f = phi(3)
+    f = iterate_poly(3, 1)
     # z^3 - 3 z^2 + 3 z + (1 - zeta)
     assert f.degree == 3
     assert f.coeffs[0] == one_minus_zeta(3)
@@ -36,15 +38,15 @@ def test_phi_p3_coefficients():
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_phi_shape(p):
-    f = phi(p)
+    f = iterate_poly(p, 1)
     assert f.degree == p
-    assert f.leading_coefficient() == 1
+    assert f.coeffs[-1] == 1
     assert f.coeffs[0] == one_minus_zeta(p)
     assert f.coeffs[p - 1] == -p  # binomial(p, p-1) * (-1)
 
 
 def test_eval_examples():
-    f = phi(3)
+    f = iterate_poly(3, 1)
     assert f(CycInt.one(3)) == CycInt(3, (2, -1))
     assert f(CycInt.zero(3)) == one_minus_zeta(3)
     empty = CycPoly(3, ())
@@ -53,7 +55,7 @@ def test_eval_examples():
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 61, 101])
 def test_phi_at_matches_horner(p):
-    f = phi(p)
+    f = oracles.phi_by_binomials(p)
     rng = random.Random(p)
     points = [CycInt(p, [rng.randint(-99, 99) for _ in range(p - 1)]) for _ in range(2)]
     points += list(orbit_points(p, CycInt.one(p), 3 if p < 10 else 2 if p < 30 else 1))
@@ -74,7 +76,7 @@ def test_modular_phi_at_and_pow_match_exact_reduced():
 
 def test_eval_ring_mismatch():
     with pytest.raises(RingMismatchError):
-        phi(3)(CycInt.one(5))
+        iterate_poly(3, 1)(CycInt.one(5))
 
 
 def test_iterate_point_examples():
@@ -128,10 +130,11 @@ def test_size_cap_point_iteration(monkeypatch):
 
 
 def test_iterate_poly_shape():
-    assert iterate_poly(3, 1) == phi(3)
+    for p in (3, 5, 7, 11, 13, 31, 61, 101):
+        assert iterate_poly(p, 1) == oracles.phi_by_binomials(p)
     g = iterate_poly(3, 2)
     assert g.degree == 9
-    assert g.leading_coefficient() == 1
+    assert g.coeffs[-1] == 1
     assert g.coeffs[0] == one_minus_zeta(3)
     assert iterate_poly(5, 2).degree == 25
 
@@ -163,7 +166,7 @@ def test_iterate_poly_cap(monkeypatch):
 
 def test_poly_arithmetic_basics():
     p = 5
-    f = phi(p)
+    f = iterate_poly(p, 1)
     g = f * f
     assert g.degree == 2 * p
     assert g.coeffs[0] == one_minus_zeta(p) * one_minus_zeta(p)
@@ -183,7 +186,7 @@ def test_poly_arithmetic_basics():
 )
 def test_poly_has_no_ring_arithmetic_beyond_multiply(op):
     with pytest.raises(TypeError):
-        op(phi(3))
+        op(iterate_poly(3, 1))
 
 
 @pytest.mark.parametrize("p", [3, 13, 17, 101])
@@ -205,7 +208,7 @@ def test_poly_mul_matches_schoolbook(p):
 
 def test_poly_mixed_rings_rejected():
     with pytest.raises(RingMismatchError):
-        phi(3) * phi(5)
+        iterate_poly(3, 1) * iterate_poly(5, 1)
     with pytest.raises(RingMismatchError):
         CycPoly(3, (CycInt.one(5),))
 
@@ -257,39 +260,62 @@ def test_structure_checks_validate():
                 check(p)
 
 
-def broken_phi(p, index, delta):
-    """phi(p) with delta added to its coefficient of z^index."""
-    coeffs = list(phi(p).coeffs)
-    coeffs[index] = coeffs[index] + delta
-    return CycPoly(p, coeffs)
+def broken_map(monkeypatch, p, index, delta):
+    """Patch dynamics so that phi's coefficient of z^index is off by delta.
+
+    Index 0 shifts the constant of phi_at; a middle index shifts C(p, index)
+    in the binomials eisenstein_check reads.  Returns the broken phi_at and
+    comb, so a test can show the mutant breaks the fact it claims to.
+    """
+    bad_phi_at, bad_comb = phi_at, math.comb
+    if index == 0:
+
+        def bad_phi_at(x, modulus=None):
+            return phi_at(x, modulus) + delta
+
+        monkeypatch.setattr(dynamics, "phi_at", bad_phi_at)
+    else:
+
+        def bad_comb(n, k):
+            return math.comb(n, k) + (delta if (n, k) == (p, index) else 0)
+
+        monkeypatch.setattr(dynamics, "math", SimpleNamespace(comb=bad_comb))
+    return bad_phi_at, bad_comb
 
 
 # (index, delta): z^1 no longer divisible by p; phi(0) = 2 - zeta, which
-# also makes phi(1) = 2 mod (1 - zeta); leading coefficient 1 + p
+# also moves 1 - zeta off itself and makes phi(1) = 2 mod (1 - zeta)
 BROKEN_PHI = [
     (1, 1, eisenstein_check, "coefficient of z^1 is not divisible by 5"),
-    (5, 5, eisenstein_check, "phi is not monic of degree 5"),
     (0, 1, eisenstein_check, "phi(0) differs from 1 - zeta"),
     (0, 1, fixed_point_check, "phi(0) differs from 1 - zeta"),
+    (0, 1, fixed_point_check, "1 - zeta is not a fixed point of phi"),
     (0, 1, orbit_congruence_check, "phi(1) is not congruent to 1 mod (1 - zeta)"),
 ]
 
 
 @pytest.mark.parametrize("index,delta,check,message", BROKEN_PHI)
 def test_structure_checks_refute_broken_phi(monkeypatch, index, delta, check, message):
-    bad = broken_phi(5, index, delta)
-    monkeypatch.setattr("wreathcert.dynamics.phi", lambda p: bad)
-    report = check(5)
+    p = 5
+    bad_phi_at, bad_comb = broken_map(monkeypatch, p, index, delta)
+    report = check(p)
     assert report.status == "REFUTED" and not report.passed
     assert message in report.failures
-    assert ORACLE_OF[check](5, 1)  # the oracle sees the same polynomial fail
+    # the mutant itself breaks the fact the message names
+    target = one_minus_zeta(p)
+    broken = {
+        "coefficient of z^1 is not divisible by 5": bad_comb(p, 1) % p != 0,
+        "phi(0) differs from 1 - zeta": bad_phi_at(CycInt.zero(p)) != target,
+        "1 - zeta is not a fixed point of phi": bad_phi_at(target) != target,
+        "phi(1) is not congruent to 1 mod (1 - zeta)": not bad_phi_at(CycInt.one(p)).congruent_mod_pi(1),
+    }
+    assert broken[message]
 
 
 def test_orbit_congruence_norm_equivalent():
     # p never divides norm(phi^t(1)); same fact at the rational level
     for p in (3, 5):
         x = CycInt.one(p)
-        f = phi(p)
         for _ in range(3):
-            x = f(x)
+            x = phi_at(x)
             assert x.norm() % p != 0
