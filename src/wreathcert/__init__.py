@@ -5,7 +5,6 @@ from .certificate import (
     INDETERMINATE,
     MAXIMAL,
     SCHEMA,
-    WITNESS_FOUND,
     CertificateFormatError,
     LevelRecord,
     MaximalityCertificate,

@@ -43,8 +43,6 @@ from .factoring import DETERMINISTIC_LIMIT, FactorConfig, factor, is_prime_certa
 
 SCHEMA = "wreath-cert/1"
 
-# level statuses; INDETERMINATE doubles as the non-MAXIMAL verdict
-WITNESS_FOUND = "WITNESS_FOUND"
 INDETERMINATE = "INDETERMINATE"
 MAXIMAL = "MAXIMAL"
 
@@ -83,7 +81,6 @@ class LevelRecord:
     m: int
     norm_abs: int
     witness: tuple[int, int] | None
-    status: str
 
 
 @dataclass(frozen=True)
@@ -94,7 +91,6 @@ class MaximalityCertificate:
     levels: tuple[LevelRecord, ...]
     group_order_claimed: int
     verdict: str
-    note: str | None = None
 
 
 def group_order(p: int, n: int, max_bits: int = MAX_ORDER_BITS) -> int:
@@ -192,15 +188,15 @@ def _level_record(p: int, m: int, norm: int, cfg: FactorConfig) -> LevelRecord:
         if e % p:
             witness = (q, e)
             break
-    return LevelRecord(m=m, norm_abs=norm, witness=witness, status=WITNESS_FOUND if witness else INDETERMINATE)
+    return LevelRecord(m=m, norm_abs=norm, witness=witness)
 
 
 def build_certificate(p: int, n: int, cfg: FactorConfig = FactorConfig()) -> MaximalityCertificate:
     """Assemble a certificate for levels 1..n.
 
     For a Wieferich p no levels are computed (the proof route is closed
-    regardless of witnesses) and the verdict is INDETERMINATE with an
-    explanatory note.  The input is checked first by
+    regardless of witnesses) and the verdict is INDETERMINATE; the CLI
+    explains why with WIEFERICH_NOTE.  The input is checked first by
     require_certificate_input, then a group order past MAX_ORDER_BITS is
     refused before any level.  Every level's norm is formed before any
     witness search, so size-cap failures inside the orbit, and a norm past
@@ -215,13 +211,13 @@ def build_certificate(p: int, n: int, cfg: FactorConfig = FactorConfig()) -> Max
     levels = tuple(_level_record(p, m, norm, cfg) for m, norm in enumerate(norms, 1))
     return MaximalityCertificate(
         p=p, n=n, wieferich=wieferich, levels=levels, group_order_claimed=order,
-        verdict=_verdict(n, wieferich, levels), note=WIEFERICH_NOTE if wieferich else None,
+        verdict=_verdict(n, wieferich, levels),
     )
 
 
 def _verdict(n: int, wieferich: bool, levels) -> str:
     """MAXIMAL exactly when p is not Wieferich and all n levels hold a witness."""
-    witnessed = len(levels) == n and all(rec.status == WITNESS_FOUND for rec in levels)
+    witnessed = len(levels) == n and all(rec.witness is not None for rec in levels)
     return MAXIMAL if witnessed and not wieferich else INDETERMINATE
 
 
@@ -233,7 +229,8 @@ def certificate_problems(cert: MaximalityCertificate) -> list[str]:
     DETERMINISTIC_LIMIT (so primality is certain), q^e exactly dividing
     the norm, and p not dividing e.  The norm must also be 2^p - 1 mod p^2,
     as every norm on the orbit of 1 is.  The Wieferich flag is re-checked
-    by modular exponentiation and the group order by its closed formula.
+    by modular exponentiation, the group order by its closed formula, and
+    the verdict must be the one _verdict derives from the flag and levels.
 
     Work is bounded by the size of the certificate: p must be below
     DETERMINISTIC_LIMIT, group_order forms the order only up to the bit
@@ -262,8 +259,6 @@ def certificate_problems(cert: MaximalityCertificate) -> list[str]:
         order_matches = False
     if not order_matches:
         problems.append("group_order_claimed does not match p^((p^n - 1)/(p - 1))")
-    if cert.verdict not in (MAXIMAL, INDETERMINATE):
-        problems.append(f"unknown verdict {cert.verdict!r}")
 
     if [rec.m for rec in cert.levels] != list(range(1, len(cert.levels) + 1)):
         problems.append("levels are not consecutively numbered from 1")
@@ -278,10 +273,6 @@ def certificate_problems(cert: MaximalityCertificate) -> list[str]:
         residue = rec.norm_abs % p2
         if residue != want:
             problems.append(f"{tag}: norm residue {residue} differs from 2^p - 1 = {want} mod p^2")
-        if (rec.witness is not None) != (rec.status == WITNESS_FOUND):
-            problems.append(f"{tag}: status {rec.status} inconsistent with witness")
-        if rec.status not in (WITNESS_FOUND, INDETERMINATE):
-            problems.append(f"{tag}: unknown status {rec.status!r}")
         if rec.witness is not None:
             q, e = rec.witness
             if q >= DETERMINISTIC_LIMIT:
@@ -300,8 +291,9 @@ def certificate_problems(cert: MaximalityCertificate) -> list[str]:
     if cert.levels:
         problems.extend(_norm_problems(p, [rec.norm_abs for rec in cert.levels]))
 
-    if (cert.verdict == MAXIMAL) != (_verdict(n, cert.wieferich, cert.levels) == MAXIMAL):
-        problems.append(f"verdict {cert.verdict} inconsistent with levels and wieferich flag")
+    verdict = _verdict(n, cert.wieferich, cert.levels)
+    if cert.verdict != verdict:  # named, not echoed: the claimed string may be up to a megabyte
+        problems.append(f"the levels and wieferich flag give verdict {verdict}, not the one claimed")
     return problems
 
 
@@ -346,16 +338,16 @@ def _power_exceeds(q: int, e: int, bound: int) -> bool:
 # writer and the reader both walk them.  A kind is the type json gives (an
 # int is never a bool), or _DECIMAL: an integer of any size written as a
 # decimal string, so no consumer silently truncates at 64 bits.  Besides
-# the tables, a certificate holds its schema tag, its levels and a note
-# (string or null), and a level its witness (null or a pair of decimal
-# strings [q, e]).  Other level keys are ignored, so documents that still
-# carry the retired factorization, norm_mod_p2, unit_check and
-# p_coprime_check parse and verify.
+# the tables, a certificate holds its schema tag and its levels, and a level
+# its witness (null or a pair of decimal strings [q, e]).  Other keys are
+# ignored, so documents that still carry the retired note, or the retired
+# level status, factorization, norm_mod_p2, unit_check and p_coprime_check,
+# parse and verify.
 
 _DECIMAL = "a decimal-string integer"
 _KIND_NAMES = {int: "an integer", bool: "a boolean", str: "a string", _DECIMAL: _DECIMAL}
 _CERTIFICATE_FIELDS = {"p": int, "n": int, "wieferich": bool, "group_order_claimed": _DECIMAL, "verdict": str}
-_LEVEL_FIELDS = {"m": int, "norm_abs": _DECIMAL, "status": str}
+_LEVEL_FIELDS = {"m": int, "norm_abs": _DECIMAL}
 
 
 def _write_fields(table: dict, record) -> dict:
@@ -367,7 +359,7 @@ def certificate_to_dict(cert: MaximalityCertificate) -> dict:
         dict(_write_fields(_LEVEL_FIELDS, rec), witness=[str(v) for v in rec.witness] if rec.witness else None)
         for rec in cert.levels
     ]
-    return dict(_write_fields(_CERTIFICATE_FIELDS, cert), schema=SCHEMA, levels=levels, note=cert.note)
+    return dict(_write_fields(_CERTIFICATE_FIELDS, cert), schema=SCHEMA, levels=levels)
 
 
 def certificate_to_json(cert: MaximalityCertificate) -> str:
@@ -412,9 +404,6 @@ def certificate_from_json(text: str | bytes) -> MaximalityCertificate:
     if data.get("schema") != SCHEMA:
         problems.append(f"schema is {data.get('schema')!r}, expected {SCHEMA!r}")
     fields = _read_fields(problems, _CERTIFICATE_FIELDS, data, "certificate")
-    note = data.get("note")
-    if note is not None and not isinstance(note, str):
-        problems.append("certificate: field 'note' must be a string or null")
     levels = data.get("levels")
     if not isinstance(levels, list):
         problems.append("certificate: field 'levels' must be a list")
@@ -433,4 +422,4 @@ def certificate_from_json(text: str | bytes) -> MaximalityCertificate:
         records.append(dict(_read_fields(problems, _LEVEL_FIELDS, item, where), witness=witness))
     if problems:
         raise CertificateFormatError(problems)
-    return MaximalityCertificate(levels=tuple(LevelRecord(**rec) for rec in records), note=note, **fields)
+    return MaximalityCertificate(levels=tuple(LevelRecord(**rec) for rec in records), **fields)

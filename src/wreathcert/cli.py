@@ -25,6 +25,7 @@ from dataclasses import asdict
 
 from .certificate import (
     MAXIMAL,
+    WIEFERICH_NOTE,
     CertificateFormatError,
     build_certificate,
     certificate_from_json,
@@ -80,6 +81,12 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
+def _explain_wieferich(cert) -> None:
+    """Say on stderr why a certificate whose checked Wieferich flag is set cannot be MAXIMAL."""
+    if cert.wieferich:
+        print(f"note: {WIEFERICH_NOTE}", file=sys.stderr)
+
+
 def cmd_norm_congruence(args) -> int:
     report = norm_congruence_check(args.p, args.max_n)
     if args.json:
@@ -131,6 +138,7 @@ def cmd_certificate(args) -> int:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
     print(f"p={cert.p} n={cert.n} verdict={cert.verdict} -> {args.out}")
+    _explain_wieferich(cert)
     return EXIT_OK if cert.verdict == MAXIMAL else EXIT_INDETERMINATE
 
 
@@ -158,6 +166,7 @@ def cmd_verify(args) -> int:
             print(f"verification failed: {problem}", file=sys.stderr)
         return EXIT_FAIL
     print(f"certificate verifies: p={cert.p} n={cert.n} verdict={cert.verdict}")
+    _explain_wieferich(cert)
     return EXIT_OK
 
 

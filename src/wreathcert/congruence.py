@@ -64,7 +64,6 @@ class CongruenceItem:
     index: int  # iterate level, or trial number
     residue: int
     status: str
-    note: str = ""  # always empty; kept as a field of the JSON report
 
 
 @dataclass(frozen=True)

@@ -79,10 +79,7 @@ class Factorization:
 
 
 def _mr_composite(n: int, a: int) -> bool:
-    """Strong probable-prime test; True means a proves n composite."""
-    a %= n
-    if a == 0:
-        return False
+    """Strong probable-prime test to a base 1 < a < n; True means a proves n composite."""
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -207,8 +204,6 @@ def factor(n: int, cfg: FactorConfig = FactorConfig()) -> Factorization:
     leftover: list[int] = []  # probable primes past DETERMINISTIC_LIMIT, composites rho did not split
     while pending:
         c = pending.pop()
-        if c == 1:
-            continue
         if is_prime(c):
             if c < DETERMINISTIC_LIMIT:
                 counts[c] = counts.get(c, 0) + 1

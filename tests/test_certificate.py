@@ -17,7 +17,6 @@ from wreathcert import (
     INDETERMINATE,
     MAXIMAL,
     SCHEMA,
-    WITNESS_FOUND,
     CertificateFormatError,
     CycInt,
     FactorConfig,
@@ -44,6 +43,8 @@ def test_group_order_values():
     assert group_order(3, 5) == 3 ** ((3**5 - 1) // 2)
     with pytest.raises(ValueError):
         group_order(3, 0)
+    with pytest.raises(ValueError):
+        build_certificate(3, 0)
 
 
 @pytest.mark.parametrize("p,n_top", [(3, 6), (5, 3), (1093, 2)])
@@ -122,7 +123,6 @@ def test_level_witness_p3_first_levels():
     rec = levels[0]
     assert rec.norm_abs == 7
     assert rec.witness == (7, 1)
-    assert rec.status == WITNESS_FOUND
     assert levels[1].witness == (43, 1)
     rec3 = levels[2]
     assert rec3.witness == (11, 2)  # exponent 2 is the point: 2 != 0 mod 3
@@ -140,7 +140,6 @@ def test_level_witness_deep_levels():
     # depend on certifying it
     assert rec5.witness == (139, 1)
     assert rec5.norm_abs == P3_LEVEL5_NORM
-    assert rec5.status == WITNESS_FOUND
 
 
 def test_build_certificate_p3():
@@ -164,7 +163,6 @@ def test_build_certificate_wieferich():
     assert cert.wieferich
     assert cert.verdict == INDETERMINATE
     assert cert.levels == ()
-    assert cert.note  # explanatory note travels with the verdict
     assert cert.group_order_claimed == 1093 ** (1093 + 1)
     assert certificate_problems(cert) == []
 
@@ -258,25 +256,28 @@ def test_verify_rejects_missing_level():
 
 
 def test_verify_rejects_inconsistent_verdict():
-    # MAXIMAL exactly when p is not Wieferich and all n levels hold a
-    # witness; any other verdict, unknown ones too, counts as not MAXIMAL
+    # the verdict must be the one the levels and the flag give: MAXIMAL
+    # exactly when p is not Wieferich and all n levels hold a witness, else
+    # INDETERMINATE; any other string is inconsistent with every certificate
     cert = build_certificate(3, 2)
-    unwitnessed = tamper_level(cert, 1, witness=None, status=INDETERMINATE)
-    inconsistent = "verdict {} inconsistent with levels and wieferich flag".format
+    unwitnessed = tamper_level(cert, 1, witness=None)
+    gives = "the levels and wieferich flag give verdict {}, not the one claimed".format
     cases = [
-        (unwitnessed, [inconsistent(MAXIMAL)]),
-        (dataclasses.replace(cert, levels=cert.levels[:1]), ["expected 2 levels, found 1", inconsistent(MAXIMAL)]),
+        (unwitnessed, [gives(INDETERMINATE)]),
+        (dataclasses.replace(cert, levels=cert.levels[:1]), ["expected 2 levels, found 1", gives(INDETERMINATE)]),
         (
             dataclasses.replace(cert, wieferich=True),
             [
                 "wieferich flag True contradicts 2^(p-1) mod p^2",
                 "wieferich certificate should not carry levels",
-                inconsistent(MAXIMAL),
+                gives(INDETERMINATE),
             ],
         ),
-        (dataclasses.replace(cert, verdict=INDETERMINATE), [inconsistent(INDETERMINATE)]),
-        (dataclasses.replace(cert, verdict="FOO"), ["unknown verdict 'FOO'", inconsistent("FOO")]),
-        (dataclasses.replace(unwitnessed, verdict="FOO"), ["unknown verdict 'FOO'"]),
+        (dataclasses.replace(cert, verdict=INDETERMINATE), [gives(MAXIMAL)]),
+        (dataclasses.replace(cert, verdict="FOO"), [gives(MAXIMAL)]),
+        (dataclasses.replace(cert, verdict="X" * 10**6), [gives(MAXIMAL)]),
+        (dataclasses.replace(unwitnessed, verdict="FOO"), [gives(INDETERMINATE)]),
+        (dataclasses.replace(unwitnessed, verdict=INDETERMINATE), []),
     ]
     for bad, want in cases:
         assert certificate_problems(bad) == want
@@ -312,7 +313,7 @@ def _forge(level, norm, witness, factors):
         witness=[str(v) for v in witness],
         unit_check=True,
         p_coprime_check=True,
-        status=WITNESS_FOUND,
+        status="WITNESS_FOUND",
     )
 
 
@@ -393,7 +394,8 @@ def test_verify_rejects_levels_past_the_ring_bound():
 
 
 # A (3, 2) certificate as written before the level record shrank to m,
-# norm_abs, witness and status; the retired keys are ignored.
+# norm_abs and witness and the note left the certificate; the retired keys
+# are ignored.
 PARENT_P3_N2 = (
     '{"group_order_claimed": "81", "levels": ['
     '{"factorization": {"cofactor": "1", "cofactor_status": "UNIT", "factors": [["7", "1"]]}, '
@@ -436,7 +438,8 @@ def test_json_schema_fields():
     assert data["schema"] == SCHEMA
     assert data["group_order_claimed"] == str(group_order(3, 2))
     level = data["levels"][0]
-    assert level == {"m": 1, "norm_abs": "7", "witness": ["7", "1"], "status": WITNESS_FOUND}
+    assert level == {"m": 1, "norm_abs": "7", "witness": ["7", "1"]}
+    assert "note" not in data
 
 
 # The whole certificate_to_json output: key order, indent, and which integers
@@ -448,7 +451,6 @@ GOLDEN_P3_N3 = """\
     {
       "m": 1,
       "norm_abs": "7",
-      "status": "WITNESS_FOUND",
       "witness": [
         "7",
         "1"
@@ -457,7 +459,6 @@ GOLDEN_P3_N3 = """\
     {
       "m": 2,
       "norm_abs": "43",
-      "status": "WITNESS_FOUND",
       "witness": [
         "43",
         "1"
@@ -466,7 +467,6 @@ GOLDEN_P3_N3 = """\
     {
       "m": 3,
       "norm_abs": "58201",
-      "status": "WITNESS_FOUND",
       "witness": [
         "11",
         "2"
@@ -474,7 +474,6 @@ GOLDEN_P3_N3 = """\
     }
   ],
   "n": 3,
-  "note": null,
   "p": 3,
   "schema": "wreath-cert/1",
   "verdict": "MAXIMAL",
@@ -487,8 +486,6 @@ GOLDEN_P1093_N1 = """\
   "group_order_claimed": "1093",
   "levels": [],
   "n": 1,
-  "note": "p is a Wieferich prime, so the norm congruence no longer rules out p-th-power norms and no witness \
-search was attempted; maximality is expected but not certified in this case",
   "p": 1093,
   "schema": "wreath-cert/1",
   "verdict": "INDETERMINATE",
@@ -520,16 +517,14 @@ CERTIFICATE_EDITS = [_delete(key) for key in ("p", "n", "wieferich", "group_orde
     _set("group_order_claimed", 7),
     _set("group_order_claimed", "3.0"),
     _set("verdict", None),
-    _set("note", 5),
     _set("levels", {}),
     _set("levels", [7]),
 ] + [_set("group_order_claimed", text) for text in NON_CANONICAL_DECIMALS]
-LEVEL_EDITS = [_delete(key) for key in ("m", "norm_abs", "status")] + [
+LEVEL_EDITS = [_delete(key) for key in ("m", "norm_abs")] + [
     _set("m", True),
     _set("m", "1"),
     _set("norm_abs", 7),
     _set("norm_abs", "seven"),
-    _set("status", None),
     _set("witness", [7, 1]),  # bare ints are not schema-legal
     _set("witness", ["7"]),
     _set("witness", ["7", "1", "1"]),
@@ -558,10 +553,10 @@ def test_parse_rejects_bad_documents():
         assert len(info.value.problems) == 1, (index, info.value.problems)
 
     bad = json.loads(json.dumps(good))
-    del bad["levels"][0]["status"]
+    del bad["levels"][0]["norm_abs"]
     with pytest.raises(CertificateFormatError) as info:
         certificate_from_json(json.dumps(bad))
-    assert any("status" in msg for msg in info.value.problems)
+    assert info.value.problems == ["levels[0]: missing field 'norm_abs'"]
 
 
 def test_parse_accepts_tampered_but_wellformed():

@@ -20,7 +20,7 @@ from wreathcert.cli import (
     build_parser,
     main,
 )
-from wreathcert.certificate import build_certificate, certificate_to_json
+from wreathcert.certificate import WIEFERICH_NOTE, build_certificate, certificate_to_json
 from wreathcert.congruence import MAX_LEVELS
 from wreathcert.factoring import MAX_SIEVE_LIMIT, FactorConfig
 
@@ -155,26 +155,33 @@ def test_wieferich_flags_exclusive(capsys):
 
 def test_certificate_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "cert.json"
-    code, _, _ = run_cli(
+    code, _, err = run_cli(
         ["certificate", "--p", "3", "--max-n", "3", "--out", str(out_path)], capsys
     )
-    assert code == EXIT_OK
+    assert code == EXIT_OK and err == ""
     document = json.loads(out_path.read_text())
     assert document["verdict"] == "MAXIMAL"
     assert document["schema"] == "wreath-cert/1"
 
-    code, out, _ = run_cli(["verify", "--in", str(out_path)], capsys)
-    assert code == EXIT_OK
+    code, out, err = run_cli(["verify", "--in", str(out_path)], capsys)
+    assert code == EXIT_OK and err == ""
     assert "verifies" in out
 
 
 def test_certificate_wieferich_exit(tmp_path, capsys):
     out_path = tmp_path / "w.json"
-    code, _, _ = run_cli(
+    code, out, err = run_cli(
         ["certificate", "--p", "1093", "--max-n", "1", "--out", str(out_path)], capsys
     )
     assert code == EXIT_INDETERMINATE
+    assert out == f"p=1093 n=1 verdict=INDETERMINATE -> {out_path}\n"
+    # the explanation is derived from the checked flag, never read from the file
+    assert err == f"note: {WIEFERICH_NOTE}\n"
     assert json.loads(out_path.read_text())["verdict"] == "INDETERMINATE"
+    code, out, err = run_cli(["verify", "--in", str(out_path)], capsys)
+    assert code == EXIT_OK
+    assert out == "certificate verifies: p=1093 n=1 verdict=INDETERMINATE\n"
+    assert err == f"note: {WIEFERICH_NOTE}\n"
 
 
 def test_certificate_rejects_oversized_non_wieferich_p(tmp_path, capsys):
@@ -205,6 +212,76 @@ def test_verify_detects_tampering(tmp_path, capsys):
     code, _, err = run_cli(["verify", "--in", str(out_path)], capsys)
     assert code == EXIT_FAIL
     assert "verification failed" in err and "11^3" in err
+
+
+def _field_edits(doc):
+    """(path, value) pairs: one false value for each field the writer emits,
+    and for each level's m, norm_abs, witness, witness q and witness e."""
+    p, n = doc["p"], doc["n"]
+    edits = [
+        (("schema",), "wreath-cert/2"),
+        (("p",), p + 2),
+        (("n",), n + 1),
+        (("n",), 0),
+        (("wieferich",), not doc["wieferich"]),
+        (("group_order_claimed",), str(int(doc["group_order_claimed"]) * p)),
+        (("verdict",), "INDETERMINATE" if doc["verdict"] == "MAXIMAL" else "MAXIMAL"),
+        (("levels",), doc["levels"][:-1] or [{"m": 1, "norm_abs": str(expected_residue(p)), "witness": None}]),
+    ]
+    for i, level in enumerate(doc["levels"]):
+        q, e = map(int, level["witness"])
+        edits += [
+            (("levels", i, "m"), level["m"] + 1),
+            (("levels", i, "norm_abs"), str(int(level["norm_abs"]) + p * p)),  # the same residue mod p^2
+            (("levels", i, "witness"), None),
+            (("levels", i, "witness", 0), str(q + 1)),
+            (("levels", i, "witness", 1), str(e + 1)),
+        ]
+    return edits
+
+
+def _edited(doc, path, value):
+    copy = json.loads(json.dumps(doc))
+    *outer, last = path
+    target = copy
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    return copy
+
+
+@pytest.mark.parametrize("p,n", [(3, 5), (1093, 1)])
+def test_verify_rejects_an_edit_of_any_field(tmp_path, capsys, p, n):
+    # a certificate holds only what verify checks: every field is covered by
+    # an edit, and every edit is refused as malformed or as false
+    doc = json.loads(certificate_to_json(build_certificate(p, n)))
+    edits = _field_edits(doc)
+    assert {path[0] for path, _ in edits} == set(doc)
+    for i, level in enumerate(doc["levels"]):
+        assert {path[2] for path, _ in edits if path[:2] == ("levels", i)} == set(level)
+    cert_path = tmp_path / "cert.json"
+    for path, value in edits:
+        cert_path.write_text(json.dumps(_edited(doc, path, value)))
+        code, out, _ = run_cli(["verify", "--in", str(cert_path)], capsys)
+        assert code in (EXIT_FAIL, EXIT_USAGE) and out == "", (path, value)
+
+
+@pytest.mark.parametrize("p,n", [(3, 5), (1093, 1)])
+def test_verify_ignores_retired_keys(tmp_path, capsys, p, n):
+    # note, status and factorization are read by nothing, whatever they say
+    text = certificate_to_json(build_certificate(p, n))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(text)
+    want = run_cli(["verify", "--in", str(cert_path)], capsys)
+    assert want[0] == EXIT_OK
+    values = [None, 5, "", "WITNESS_FOUND", "certified for every n, including Wieferich p", {"factors": [["2", "99"]]}, [1]]
+    for key in ("note", "status", "factorization"):
+        for value in values:
+            doc = json.loads(text)
+            for record in [doc, *doc["levels"]]:
+                record[key] = value
+            cert_path.write_text(json.dumps(doc))
+            assert run_cli(["verify", "--in", str(cert_path)], capsys) == want, (key, value)
 
 
 def test_verify_bad_json(tmp_path, capsys):
@@ -266,7 +343,7 @@ def test_verify_rejects_false_level_past_honest_ones_quickly(tmp_path, capsys):
     # two honest levels must not buy that much work for a false third (the
     # group order 61^3783 is past the int-str limit, so it is left wrong)
     norms = [x.norm() for x in orbit_points(61, CycInt.one(61), 2)] + [expected_residue(61) + 61**2]
-    levels = [{"m": m, "norm_abs": str(v), "witness": None, "status": "INDETERMINATE"} for m, v in enumerate(norms, 1)]
+    levels = [{"m": m, "norm_abs": str(v), "witness": None} for m, v in enumerate(norms, 1)]
     document = {
         "schema": "wreath-cert/1",
         "p": 61,
@@ -275,7 +352,6 @@ def test_verify_rejects_false_level_past_honest_ones_quickly(tmp_path, capsys):
         "levels": levels,
         "group_order_claimed": "1",
         "verdict": "INDETERMINATE",
-        "note": None,
     }
     out_path = tmp_path / "cert.json"
     out_path.write_text(json.dumps(document))

@@ -220,6 +220,12 @@ def test_int_operands():
     assert 1 + a == CycInt(3, (3, -1))
     assert 2 * a == CycInt(3, (4, -2))
     assert a == 2 - zeta(3)
+    assert a and not a - a
+    # an int is the only operand besides a ring element; a str or float is none
+    for op in (lambda: a + 1.5, lambda: a - "a", lambda: "a" - a, lambda: a * 1.5, lambda: a**1.5):
+        with pytest.raises(TypeError):
+            op()
+    assert a != "a" and not a == 1.5
 
 
 def test_mismatched_rings_rejected():
@@ -245,6 +251,9 @@ def test_immutability():
     a = CycInt.one(3)
     with pytest.raises(AttributeError):
         a.coeffs = (9, 9)
+    # so it hashes by value
+    assert hash(a) == hash(CycInt(3, (1,)))
+    assert {a, CycInt.from_int(3, 1), CycInt.one(5)} == {a, CycInt.one(5)}
 
 
 # -- Galois action ------------------------------------------------------
@@ -428,3 +437,6 @@ def test_congruent_mod_pi():
     assert zeta(5).congruent_mod_pi(CycInt.one(5))
     a = CycInt(7, (4, 1, 0, -2, 5, 3))
     assert a.congruent_mod_pi(a)
+    assert a.congruent_mod_pi(4) and not a.congruent_mod_pi(5)  # 4 + 1 - 2 + 5 + 3 = 11 = 4 mod 7
+    with pytest.raises(TypeError):
+        a.congruent_mod_pi("a")

@@ -94,8 +94,11 @@ def test_iterate_point_matches_oracle():
 
 
 def test_iterate_point_validates():
+    # the point and the expanded iterate both need n >= 1
     with pytest.raises(ValueError):
         iterate_point(3, 0, CycInt.one(3))
+    with pytest.raises(ValueError):
+        iterate_poly(3, 0)
     with pytest.raises(RingMismatchError):
         iterate_point(3, 1, CycInt.one(5))
 
