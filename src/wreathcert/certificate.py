@@ -9,9 +9,12 @@ iterate to be the full n-fold wreath product of C_p, of order
 p^((p^n - 1)/(p - 1)).
 
 A level records only its norm and its witness (q, e).  build_certificate
-finds the witness by factoring the norm.  certificate_problems never
-factors: it recomputes every norm from phi along the orbit of 1, so each
-number it accepts is tied to phi, and re-checks the witness by a
+takes as witness the first prime q found by the search of
+factoring.certified_primes whose exponent p does not divide, and stops
+the search there, so the rest of the norm is never factored; when trial
+division finds q, it is the smallest such prime.  certificate_problems
+never factors: it recomputes every norm from phi along the orbit of 1, so
+each number it accepts is tied to phi, and re-checks the witness by a
 deterministic primality test and two exact divisions.
 
 No witness needs a "not found at an earlier level" check, because the
@@ -39,7 +42,7 @@ from .congruence import expected_residue, wieferich_check
 from .cyclotomic import CycInt, require_odd_prime, require_ring_prime
 from .dynamics import orbit_points
 from .errors import SizeLimitError
-from .factoring import DETERMINISTIC_LIMIT, FactorConfig, factor, is_prime_certain
+from .factoring import DETERMINISTIC_LIMIT, FactorConfig, certified_primes, is_prime_certain
 
 SCHEMA = "wreath-cert/1"
 
@@ -180,15 +183,18 @@ def _level_norm(m: int, point: CycInt) -> int:
 
 
 def _level_record(p: int, m: int, norm: int, cfg: FactorConfig) -> LevelRecord:
-    """Level m with norm N(phi^m(1)): the first prime of the norm whose exponent p does not divide."""
-    fac = factor(norm, cfg)
-    witness = None
-    for q, _ in fac.factors:
-        e = _exact_exponent(norm, q)  # recomputed so exactness never rests on the factor list
+    """Level m with norm N(phi^m(1)) and the first witness the search finds.
+
+    The witness is the first prime of certified_primes(norm) whose exact
+    exponent p does not divide: the smallest one when trial division finds
+    it, else the first rho finds.  The search stops there, so the rest of
+    the norm is never factored; with no such prime the witness is None.
+    """
+    for q in certified_primes(norm, cfg, []):
+        e = _exact_exponent(norm, q)  # counted here so exactness never rests on the search
         if e % p:
-            witness = (q, e)
-            break
-    return LevelRecord(m=m, norm_abs=norm, witness=witness)
+            return LevelRecord(m=m, norm_abs=norm, witness=(q, e))
+    return LevelRecord(m=m, norm_abs=norm, witness=None)
 
 
 def build_certificate(p: int, n: int, cfg: FactorConfig = FactorConfig()) -> MaximalityCertificate:

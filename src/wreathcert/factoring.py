@@ -10,17 +10,23 @@ they ask.
 primes_up_to() is the one prime sieve; trial division and the Wieferich
 scan both walk it, and MAX_SIEVE_LIMIT caps its memory.
 
-factor() runs trial division up to a configured bound, then a seeded
-Brent-variant Pollard rho within an iteration budget.  Results are
-honest when incomplete: whatever is left unfactored (probable primes
-above the deterministic range, composites the budget did not split) is
-returned as one cofactor.
+certified_primes() is the one factoring search: it yields the primes of |n|
+below DETERMINISTIC_LIMIT lazily, in the order it finds them, so a caller
+that needs one prime (the certificate's witness) stops there and the rest
+of n is never factored.  Trial division up to a configured bound comes
+first, its primes ascending; then a seeded Brent-variant Pollard rho within
+an iteration budget, searching the smaller part of each split first.
+Whatever is left unfactored (probable primes above the deterministic range,
+composites the budget did not split) goes to an honest leftover.  factor()
+consumes the whole stream and returns it sorted, with the leftover as one
+cofactor.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator
@@ -187,28 +193,31 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
     return None, used
 
 
-def factor(n: int, cfg: FactorConfig = FactorConfig()) -> Factorization:
-    """Factor |n| by trial division then seeded Brent rho.
+def certified_primes(n: int, cfg: FactorConfig, leftover: list[int]) -> Iterator[int]:
+    """The primes of |n| below DETERMINISTIC_LIMIT, once per multiplicity, as found.
 
-    Deterministic for a given (n, cfg).  Raises ValueError for n = 0.
+    Trial division's primes come first, ascending, then rho's; each rho
+    split is searched smaller part first.  What is left unfactored goes to
+    leftover, which is complete once the stream is exhausted.  Deterministic
+    for a given (n, cfg).  Raises ValueError for n = 0.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    m = abs(n)
     counts: dict[int, int] = {}
-    m = _trial_divide(m, cfg.trial_bound, counts)
+    m = _trial_divide(abs(n), cfg.trial_bound, counts)
+    for q, e in counts.items():
+        yield from [q] * e
 
     rng = random.Random(cfg.rho_seed)
     budget = cfg.rho_budget
     pending = [m] if m > 1 else []
-    leftover: list[int] = []  # probable primes past DETERMINISTIC_LIMIT, composites rho did not split
     while pending:
         c = pending.pop()
         if is_prime(c):
             if c < DETERMINISTIC_LIMIT:
-                counts[c] = counts.get(c, 0) + 1
+                yield c
             else:
-                leftover.append(c)
+                leftover.append(c)  # a probable prime only
             continue
         d = None
         if budget > 0:
@@ -217,11 +226,17 @@ def factor(n: int, cfg: FactorConfig = FactorConfig()) -> Factorization:
         if d is None:
             leftover.append(c)
         else:
-            pending.append(d)
-            pending.append(c // d)
+            pending.extend(sorted((d, c // d), reverse=True))
 
+
+def factor(n: int, cfg: FactorConfig = FactorConfig()) -> Factorization:
+    """Factor |n|: all that certified_primes yields, sorted, and its leftover as one cofactor.
+
+    Deterministic for a given (n, cfg).  Raises ValueError for n = 0.
+    """
+    leftover: list[int] = []
+    factors = tuple(sorted(Counter(certified_primes(n, cfg, leftover)).items()))
     cofactor = math.prod(leftover)
-    factors = tuple(sorted(counts.items()))
     check = cofactor
     for q, e in factors:
         check *= q**e

@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 
-from wreathcert import cyclotomic
+from wreathcert import cyclotomic, factoring
 from wreathcert import (
     DETERMINISTIC_LIMIT,
     INDETERMINATE,
@@ -25,6 +25,7 @@ from wreathcert import (
     certificate_from_json,
     certificate_problems,
     certificate_to_json,
+    factor,
     group_order,
     is_prime,
     one_minus_zeta,
@@ -140,6 +141,38 @@ def test_level_witness_deep_levels():
     # depend on certifying it
     assert rec5.witness == (139, 1)
     assert rec5.norm_abs == P3_LEVEL5_NORM
+
+
+def test_trial_division_settles_p3_to_level_7_without_rho(monkeypatch):
+    # every witness to level 7 is below the trial bound, so the search
+    # stops before rho would start on the cofactors
+    def no_rho(n, rng, budget):
+        raise AssertionError(f"rho on a {n.bit_length()}-bit cofactor")
+
+    monkeypatch.setattr("wreathcert.factoring._brent_rho", no_rho)
+    cert = build_certificate(3, 7)
+    assert [rec.witness for rec in cert.levels] == P3_WITNESSES + [(5, 4), (12757, 1)]
+    assert cert.verdict == MAXIMAL
+
+
+def test_witness_search_stops_at_the_first_rho_witness(monkeypatch):
+    # level 3 at p = 7 needs rho; its first split yields the witness, and the
+    # 26-digit probable prime that is left is never split off
+    calls = []
+    rho = factoring._brent_rho
+    monkeypatch.setattr(factoring, "_brent_rho", lambda *args: calls.append(args[0]) or rho(*args))
+    cert = build_certificate(7, 3)
+    assert cert.levels[2].witness == (6736940533, 1)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p,n", [(3, 6), (5, 3), (7, 2), (11, 2), (13, 2)])
+def test_witness_is_the_smallest_of_the_full_factorization(p, n):
+    # oracle: the smallest prime of the whole factorization whose exact
+    # exponent p does not divide, which build_certificate no longer forms
+    for rec in build_certificate(p, n).levels:
+        full = factor(rec.norm_abs)
+        assert rec.witness == next((q, e) for q, e in full.factors if e % p), (p, rec.m)
 
 
 def test_build_certificate_p3():

@@ -482,10 +482,10 @@ def test_certificate_norm_past_int_str_limit_exits_cap_before_factoring(tmp_path
 def test_certificate_forms_every_norm_before_any_witness_search(monkeypatch, tmp_path, capsys, set_int_str_limit):
     # the level-3 norm at (37, 3) is past 4300 digits; levels 1 and 2 are
     # not searched for a witness first, where rho on level 2 takes seconds
-    def no_search(n, cfg):
+    def no_search(n, cfg, leftover):
         raise AssertionError(f"witness search on a {n.bit_length()}-bit norm")
 
-    monkeypatch.setattr("wreathcert.certificate.factor", no_search)
+    monkeypatch.setattr("wreathcert.certificate.certified_primes", no_search)
     out_path = tmp_path / "c.json"
     set_int_str_limit(4300)
     started = time.perf_counter()

@@ -13,7 +13,7 @@ from wreathcert import (
     is_prime,
     is_prime_certain,
 )
-from wreathcert.factoring import MAX_SIEVE_LIMIT, _trial_divide, primes_up_to
+from wreathcert.factoring import MAX_SIEVE_LIMIT, _trial_divide, certified_primes, primes_up_to
 
 M89 = 2**89 - 1  # Mersenne prime, above the deterministic range
 
@@ -200,6 +200,18 @@ def test_factor_budget_unlocks_split():
     full = factor(p1 * p2, FactorConfig(trial_bound=100, rho_budget=10**7, rho_seed=3))
     assert full.cofactor == 1
     assert full.factors == ((p1, 1), (p2, 1))
+
+
+def test_certified_primes_come_in_search_order():
+    # trial division's primes ascending, then rho's with the smaller part of
+    # each split first; the probable prime M89 goes to the leftover
+    p1, p2 = 1000003, 1000033
+    cfg = FactorConfig(trial_bound=100, rho_budget=10**6, rho_seed=3)
+    leftover = []
+    assert list(certified_primes(-(7 * 2**3 * p2 * p1), cfg, leftover)) == [2, 2, 2, 7, p1, p2]
+    assert leftover == []
+    assert list(certified_primes(3 * M89, cfg, leftover)) == [3]
+    assert leftover == [M89]
 
 
 def test_factor_pending_prime_cofactor():
