@@ -33,13 +33,10 @@ from .cyclotomic import (
 )
 from .dynamics import (
     MAX_COEFF_BITS,
-    MAX_POLY_COEFFS,
-    CycPoly,
     StructureReport,
     eisenstein_check,
     fixed_point_check,
     iterate_point,
-    iterate_poly,
     orbit_congruence_check,
     orbit_points,
     phi_at,
@@ -48,8 +45,6 @@ from .errors import RingMismatchError, SizeLimitError
 from .factoring import (
     DETERMINISTIC_LIMIT,
     FactorConfig,
-    Factorization,
-    factor,
     is_prime,
     is_prime_certain,
 )

@@ -16,8 +16,8 @@ runs in (Z/m)[zeta] and returns N(x) mod m.
 
 The exact ring multiply convolves the two coefficient vectors by the
 schoolbook loop, skipping zero coefficients, and then wraps exponents
-through zeta^p = 1.  Polynomials over Z[zeta] multiply through the same
-two steps (dynamics.CycPoly).  The multiply mod m, whose
+through zeta^p = 1; the expanded iterates of tests/oracles.py multiply
+their polynomials through the same two steps.  The multiply mod m, whose
 coefficients stay below m, is one big-integer product instead: Kronecker
 substitution packs each operand into one int with a slot of 1, 2, 4 or 8
 bytes per coefficient (_mul_mod); a modulus too wide for 8-byte slots

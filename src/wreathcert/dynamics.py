@@ -1,17 +1,16 @@
-"""The map phi(z) = (z - 1)^p + 2 - zeta and its iterates over Z[zeta_p].
+"""The map phi(z) = (z - 1)^p + 2 - zeta and its orbits over Z[zeta_p].
 
 phi_at is the one definition of phi: it evaluates the closed form
 phi(x) = (x - 1)^p + (2 - zeta), with the p-th power taken by
 square-and-multiply, O(log p) ring multiplies per step.  Certificates,
 their verification, the norm congruence and the structural checks all
-evaluate it.  The expanded n-th iterate is only ever built when
-explicitly requested, because its degree is p^n while a point's
-coefficients merely grow p-fold per step.
-Both directions carry fixed size caps, MAX_COEFF_BITS and
-MAX_POLY_COEFFS (SizeLimitError), since growth is doubly exponential in n.
-The coefficient cap guards the exact orbit that certificates and their
-verification walk; the orbit congruence steps with phi_at(x, p^2)
-instead, whose coefficients stay below p^2, so it needs no cap.
+evaluate it, and none expands an iterate, whose degree is p^n while a
+point's coefficients merely grow p-fold per step.
+That growth is still doubly exponential in n, so the exact orbit that
+certificates and their verification walk carries a fixed size cap,
+MAX_COEFF_BITS (SizeLimitError); the orbit congruence steps with
+phi_at(x, p^2) instead, whose coefficients stay below p^2, so it needs
+no cap.
 
 The structural checks read phi's values and the binomials of its
 closed form, and hold for every n by a one-step induction, so their
@@ -28,10 +27,8 @@ cost does not depend on n:
   mod p, and phi^n(0) = 1 - zeta by the fixed-point facts: phi^n is
   monic, Eisenstein at (1 - zeta), with constant term exactly 1 - zeta.
 
-CycPoly holds the expanded iterate, and only multiplies and evaluates:
-iterate_poly composes phi with itself, starting from z, by shifting the
-constant term, squaring and multiplying, and the tests use that expanded
-iterate as the oracle for the checks and for phi_at.
+The tests compare these verdicts, and phi_at, with the expanded iterate
+that tests/oracles.py builds.
 """
 
 from __future__ import annotations
@@ -41,87 +38,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .cyclotomic import CycInt, _convolve, _wrap, one_minus_zeta, require_ring_prime
+from .cyclotomic import CycInt, one_minus_zeta, require_ring_prime
 from .errors import RingMismatchError, SizeLimitError
 
 MAX_COEFF_BITS = 1 << 20
-MAX_POLY_COEFFS = 10_000
-
-
-class CycPoly:
-    """Immutable polynomial in z with CycInt coefficients, ascending, canonical."""
-
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, p: int, coeffs=()):
-        require_ring_prime(p)
-        coeffs = list(coeffs)
-        for c in coeffs:
-            if not isinstance(c, CycInt):
-                raise TypeError("CycPoly coefficients must be CycInt")
-            if c.p != p:
-                raise RingMismatchError(f"coefficient ring Z[zeta_{c.p}] does not match p={p}")
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycPoly is immutable")
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if isinstance(other, CycPoly):
-            return self.p == other.p and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
-
-    def __repr__(self):
-        return f"CycPoly({self.p}, degree={self.degree})"
-
-    def __call__(self, x: CycInt) -> CycInt:
-        """Evaluate by Horner's rule."""
-        if not isinstance(x, CycInt):
-            raise TypeError("evaluation point must be a CycInt")
-        if x.p != self.p:
-            raise RingMismatchError(f"point in Z[zeta_{x.p}], polynomial over Z[zeta_{self.p}]")
-        acc = CycInt.zero(self.p)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __mul__(self, other):
-        """Product with a CycPoly over the same ring; anything else is NotImplemented."""
-        if not isinstance(other, CycPoly):
-            return NotImplemented
-        if other.p != self.p:
-            raise RingMismatchError(f"cannot multiply polynomials over p={self.p} and p={other.p}")
-        if self.is_zero() or other.is_zero():
-            return CycPoly(self.p, ())
-        p = self.p
-        # one integer convolution: z^i zeta^k sits at i * w + k, and a ring
-        # product reaches only zeta^(2p - 4), so slots of w = 2p - 3 never overlap
-        w = 2 * p - 3
-        prod = _convolve(_slotted(self.coeffs, w), _slotted(other.coeffs, w))
-        out = [CycInt._of(p, _wrap(prod[i * w : (i + 1) * w], p)) for i in range(self.degree + other.degree + 1)]
-        return CycPoly(p, out)
-
-
-def _slotted(coeffs, w: int) -> list:
-    """The coefficient tuples of CycInts laid w apart in one zero-padded list."""
-    flat = [0] * (len(coeffs) * w)
-    for i, c in enumerate(coeffs):
-        flat[i * w : i * w + len(c.coeffs)] = c.coeffs
-    return flat
 
 
 @lru_cache(maxsize=None)
@@ -182,30 +102,6 @@ def iterate_point(p: int, n: int, x0: CycInt) -> CycInt:
     for x in orbit_points(p, x0, n):
         pass
     return x
-
-
-def iterate_poly(p: int, n: int) -> CycPoly:
-    """The fully expanded n-th iterate of phi, of degree p^n."""
-    require_ring_prime(p)
-    if n < 1:
-        raise ValueError("need n >= 1")
-    # p^n >= 2^n, so a large n is refused before p^n is formed
-    if n >= MAX_POLY_COEFFS.bit_length() or p**n + 1 > MAX_POLY_COEFFS:
-        raise SizeLimitError(f"degree p^n = {p}^{n} needs more than the {MAX_POLY_COEFFS}-coefficient cap")
-    one, tail = CycPoly(p, (CycInt.one(p),)), _two_minus_zeta(p)
-    g = CycPoly(p, (CycInt.zero(p), CycInt.one(p)))  # z, so g = phi after one step
-    for _ in range(n):
-        # phi(g) = (g - 1)^p + (2 - zeta): shift the constant term, raise to
-        # the p-th power by square-and-multiply, shift it back by 2 - zeta
-        base, result, e = CycPoly(p, (g.coeffs[0] - 1,) + g.coeffs[1:]), one, p
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        g = CycPoly(p, (result.coeffs[0] + tail,) + result.coeffs[1:])
-    return g
 
 
 # -- structural fact checks --------------------------------------------

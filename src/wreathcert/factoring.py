@@ -1,4 +1,4 @@
-"""Primality testing and desk-scale integer factorization.
+"""Primality testing and a desk-scale search for prime factors.
 
 is_prime() is Miller-Rabin with thirteen fixed bases for every n.  That
 is a proof below DETERMINISTIC_LIMIT and only a probable-prime test above
@@ -17,16 +17,14 @@ of n is never factored.  Trial division up to a configured bound comes
 first, its primes ascending; then a seeded Brent-variant Pollard rho within
 an iteration budget, searching the smaller part of each split first.
 Whatever is left unfactored (probable primes above the deterministic range,
-composites the budget did not split) goes to an honest leftover.  factor()
-consumes the whole stream and returns it sorted, with the leftover as one
-cofactor.
+composites the budget did not split) goes to an honest leftover.  The
+tests collect the whole stream into a full factorization (tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator
@@ -43,13 +41,13 @@ _SMALL_PRIMES = (
 )
 
 # primes_up_to holds a (limit + 1)-byte sieve, so both of its callers, the
-# trial bound of factor() and the Wieferich scan limit, stop at 100 MB
+# trial bound of certified_primes() and the Wieferich scan limit, stop at 100 MB
 MAX_SIEVE_LIMIT = 10**8
 
 
 @dataclass(frozen=True)
 class FactorConfig:
-    """Knobs for factor(); the seed makes rho runs reproducible.
+    """Knobs for certified_primes(); the seed makes rho runs reproducible.
 
     A trial bound or budget that is not an int (a bool included) is refused
     when the config is made, as are a trial bound outside [2, MAX_SIEVE_LIMIT]
@@ -69,19 +67,6 @@ class FactorConfig:
             raise ValueError(f"trial_bound must be in [2, {MAX_SIEVE_LIMIT}], got {self.trial_bound}")
         if self.rho_budget < 0:
             raise ValueError(f"rho_budget must be at least 0, got {self.rho_budget}")
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Multiset of certified prime factors plus an honest leftover.
-
-    |n| = prod(q**e for q, e in factors) * cofactor, exactly.  Every
-    listed prime passed a deterministic primality check.  cofactor is 1
-    iff the factorization is complete.
-    """
-
-    factors: tuple[tuple[int, int], ...]
-    cofactor: int
 
 
 def _mr_composite(n: int, a: int) -> bool:
@@ -227,19 +212,3 @@ def certified_primes(n: int, cfg: FactorConfig, leftover: list[int]) -> Iterator
             leftover.append(c)
         else:
             pending.extend(sorted((d, c // d), reverse=True))
-
-
-def factor(n: int, cfg: FactorConfig = FactorConfig()) -> Factorization:
-    """Factor |n|: all that certified_primes yields, sorted, and its leftover as one cofactor.
-
-    Deterministic for a given (n, cfg).  Raises ValueError for n = 0.
-    """
-    leftover: list[int] = []
-    factors = tuple(sorted(Counter(certified_primes(n, cfg, leftover)).items()))
-    cofactor = math.prod(leftover)
-    check = cofactor
-    for q, e in factors:
-        check *= q**e
-    if check != abs(n):
-        raise AssertionError("factorization does not reconstruct its input")
-    return Factorization(factors, cofactor)

@@ -3,12 +3,15 @@ and the math that only the tests use.
 
 Each of these answers a question the library answers another way:
 
-* phi itself, expanded by the binomial theorem, where the library
-  evaluates the closed form (phi_at) and composes it (iterate_poly);
-* the structural facts, read off the expanded iterate phi^n (from
-  iterate_poly) and off explicit orbit walks with its Horner evaluation,
-  where the library reads them off phi_at's values and the binomials by
-  induction;
+* phi itself, expanded by the binomial theorem and composed into the
+  expanded iterate phi^n (iterate_poly, a CycPoly of degree p^n), where
+  the library evaluates the closed form (phi_at) point by point;
+* the structural facts, read off the expanded iterate and off explicit
+  orbit walks with its Horner evaluation, where the library reads them
+  off phi_at's values and the binomials by induction;
+* the full factorization (factor), which collects every prime that
+  certified_primes yields and its leftover, where a certificate stops
+  the search at its first witness;
 * the group order by the recursion |W_1| = p, |W_k| = |W_(k-1)|^p * p,
   where the library uses the closed formula p^((p^n - 1)/(p - 1));
 * ring multiply by the schoolbook convolution of the coefficient
@@ -17,8 +20,8 @@ Each of these answers a question the library answers another way:
   compares its product, reduced mod m, with _mul_mod's packed
   big-integer product at all 25 ring primes;
 * polynomial multiply by the schoolbook sum of CycInt products, where
-  the library lays both polynomials out in one integer vector and
-  convolves that once.
+  CycPoly lays both polynomials out in one integer vector and convolves
+  that once with the library's _convolve.
 
 Two more answer questions no production path asks, so the tests tie them
 to each other or to what the library does compute:
@@ -34,10 +37,113 @@ to each other or to what the library does compute:
 """
 
 import math
+from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from wreathcert import CycInt, CycPoly, iterate_poly, one_minus_zeta, zeta
+from wreathcert import CycInt, FactorConfig, RingMismatchError, one_minus_zeta, require_ring_prime, zeta
+from wreathcert.cyclotomic import _convolve, _wrap
+from wreathcert.factoring import certified_primes
+
+# -- the expanded iterate ----------------------------------------------------
+
+
+class CycPoly:
+    """Immutable polynomial in z with CycInt coefficients, ascending, canonical."""
+
+    __slots__ = ("p", "coeffs")
+
+    def __init__(self, p: int, coeffs=()):
+        require_ring_prime(p)
+        coeffs = list(coeffs)
+        for c in coeffs:
+            if not isinstance(c, CycInt):
+                raise TypeError("CycPoly coefficients must be CycInt")
+            if c.p != p:
+                raise RingMismatchError(f"coefficient ring Z[zeta_{c.p}] does not match p={p}")
+        while coeffs and coeffs[-1].is_zero():
+            coeffs.pop()
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CycPoly is immutable")
+
+    @property
+    def degree(self) -> int:
+        """Degree, with -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __eq__(self, other):
+        if isinstance(other, CycPoly):
+            return self.p == other.p and self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.coeffs))
+
+    def __repr__(self):
+        return f"CycPoly({self.p}, degree={self.degree})"
+
+    def __call__(self, x: CycInt) -> CycInt:
+        """Evaluate by Horner's rule."""
+        if not isinstance(x, CycInt):
+            raise TypeError("evaluation point must be a CycInt")
+        if x.p != self.p:
+            raise RingMismatchError(f"point in Z[zeta_{x.p}], polynomial over Z[zeta_{self.p}]")
+        acc = CycInt.zero(self.p)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def __mul__(self, other):
+        """Product with a CycPoly over the same ring; anything else is NotImplemented."""
+        if not isinstance(other, CycPoly):
+            return NotImplemented
+        if other.p != self.p:
+            raise RingMismatchError(f"cannot multiply polynomials over p={self.p} and p={other.p}")
+        if self.is_zero() or other.is_zero():
+            return CycPoly(self.p, ())
+        p = self.p
+        # one integer convolution: z^i zeta^k sits at i * w + k, and a ring
+        # product reaches only zeta^(2p - 4), so slots of w = 2p - 3 never overlap
+        w = 2 * p - 3
+        prod = _convolve(_slotted(self.coeffs, w), _slotted(other.coeffs, w))
+        out = [CycInt._of(p, _wrap(prod[i * w : (i + 1) * w], p)) for i in range(self.degree + other.degree + 1)]
+        return CycPoly(p, out)
+
+
+def _slotted(coeffs, w: int) -> list:
+    """The coefficient tuples of CycInts laid w apart in one zero-padded list."""
+    flat = [0] * (len(coeffs) * w)
+    for i, c in enumerate(coeffs):
+        flat[i * w : i * w + len(c.coeffs)] = c.coeffs
+    return flat
+
+
+def iterate_poly(p: int, n: int) -> CycPoly:
+    """The fully expanded n-th iterate of phi, of degree p^n."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    one, tail = CycPoly(p, (CycInt.one(p),)), CycInt(p, (2, -1))
+    g = CycPoly(p, (CycInt.zero(p), CycInt.one(p)))  # z, so g = phi after one step
+    for _ in range(n):
+        # phi(g) = (g - 1)^p + (2 - zeta): shift the constant term, raise to
+        # the p-th power by square-and-multiply, shift it back by 2 - zeta
+        base, result, e = CycPoly(p, (g.coeffs[0] - 1,) + g.coeffs[1:]), one, p
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        g = CycPoly(p, (result.coeffs[0] + tail,) + result.coeffs[1:])
+    return g
+
 
 # -- phi and the structural facts --------------------------------------------
 
@@ -92,6 +198,38 @@ def walked_orbit_congruence_failures(p: int, t_max: int) -> list[str]:
         if not x.congruent_mod_pi(one):
             failures.append(f"iterate {t} of 1 is not congruent to 1 mod (1 - zeta)")
     return failures
+
+
+# -- the full factorization -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Factorization:
+    """Multiset of certified prime factors plus an honest leftover.
+
+    |n| = prod(q**e for q, e in factors) * cofactor, exactly.  Every
+    listed prime passed a deterministic primality check.  cofactor is 1
+    iff the factorization is complete.
+    """
+
+    factors: tuple[tuple[int, int], ...]
+    cofactor: int
+
+
+def factor(n: int, cfg: FactorConfig = FactorConfig()) -> Factorization:
+    """Factor |n|: all that certified_primes yields, sorted, and its leftover as one cofactor.
+
+    Deterministic for a given (n, cfg).  Raises ValueError for n = 0.
+    """
+    leftover: list[int] = []
+    factors = tuple(sorted(Counter(certified_primes(n, cfg, leftover)).items()))
+    cofactor = math.prod(leftover)
+    check = cofactor
+    for q, e in factors:
+        check *= q**e
+    if check != abs(n):
+        raise AssertionError("factorization does not reconstruct its input")
+    return Factorization(factors, cofactor)
 
 
 # -- group order -----------------------------------------------------------

@@ -25,7 +25,6 @@ from wreathcert import (
     certificate_from_json,
     certificate_problems,
     certificate_to_json,
-    factor,
     group_order,
     is_prime,
     one_minus_zeta,
@@ -171,7 +170,7 @@ def test_witness_is_the_smallest_of_the_full_factorization(p, n):
     # oracle: the smallest prime of the whole factorization whose exact
     # exponent p does not divide, which build_certificate no longer forms
     for rec in build_certificate(p, n).levels:
-        full = factor(rec.norm_abs)
+        full = oracles.factor(rec.norm_abs)
         assert rec.witness == next((q, e) for q, e in full.factors if e % p), (p, rec.m)
 
 

@@ -50,7 +50,7 @@ def test_norm_congruence_json_stable(capsys):
     report = json.loads(out1)
     assert report["p"] == 5
     assert report["expected"] == 6
-    assert [item["status"] for item in report["items"]] == ["PASS", "PASS"]
+    assert report["items"] == [{"index": 1, "residue": 6}, {"index": 2, "residue": 6}]
 
 
 def test_norm_congruence_json_matches_library(capsys):
@@ -115,11 +115,13 @@ def test_norm_congruence_rejects_too_many_levels(capsys):
 def test_norm_congruence_summary_line(monkeypatch, capsys, statuses, overall, exit_code):
     from wreathcert.congruence import CongruenceItem, CongruenceReport
 
-    items = tuple(CongruenceItem(n, 0, s) for n, s in enumerate(statuses, 1))
+    items = tuple(CongruenceItem(n, 7 if s == "PASS" else 0) for n, s in enumerate(statuses, 1))
     report = CongruenceReport(3, 7, "orbit-norms", None, None, items, passed=False)
     monkeypatch.setattr("wreathcert.cli.norm_congruence_check", lambda p, n: report)
     code, out, _ = run_cli(["norm-congruence", "--p", "3", "--max-n", "2"], capsys)
     assert code == exit_code
+    # each item's verdict is read off its residue against the expected 7
+    assert out.splitlines()[1:3] == ["  n=1  residue=7  PASS", "  n=2  residue=0  FAIL"]
     assert out.splitlines()[-1] == f"overall: {overall}"
 
 
@@ -541,6 +543,47 @@ def test_structure_pass(capsys):
     assert out.count("PASS") == 3
     code, _, _ = run_cli(["structure", "--p", "5", "--n", "2"], capsys)
     assert code == EXIT_OK
+
+
+STRUCTURE_STDOUT = {
+    (3, 6): (
+        "structure checks for p=3, n=6\n"
+        "  eisenstein         PASS\n"
+        "  fixed_point        PASS\n"
+        "  orbit_congruence   PASS\n"
+    ),
+    (5, 3): (
+        "structure checks for p=5, n=3\n"
+        "  eisenstein         PASS\n"
+        "  fixed_point        PASS\n"
+        "  orbit_congruence   PASS\n"
+    ),
+    (7, 2): (
+        "structure checks for p=7, n=2\n"
+        "  eisenstein         PASS\n"
+        "  fixed_point        PASS\n"
+        "  orbit_congruence   PASS\n"
+    ),
+    (11, 2): (
+        "structure checks for p=11, n=2\n"
+        "  eisenstein         PASS\n"
+        "  fixed_point        PASS\n"
+        "  orbit_congruence   PASS\n"
+    ),
+    (13, 2): (
+        "structure checks for p=13, n=2\n"
+        "  eisenstein         PASS\n"
+        "  fixed_point        PASS\n"
+        "  orbit_congruence   PASS\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("p,n", STRUCTURE_STDOUT)
+def test_structure_stdout_is_pinned(capsys, p, n):
+    code, out, err = run_cli(["structure", "--p", str(p), "--n", str(n)], capsys)
+    assert code == EXIT_OK and err == ""
+    assert out == STRUCTURE_STDOUT[p, n]
 
 
 def test_structure_has_no_cap(capsys):

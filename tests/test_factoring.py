@@ -5,11 +5,10 @@ import random
 
 import pytest
 
+from oracles import Factorization, factor
 from wreathcert import (
     DETERMINISTIC_LIMIT,
     FactorConfig,
-    Factorization,
-    factor,
     is_prime,
     is_prime_certain,
 )
