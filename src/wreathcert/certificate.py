@@ -56,10 +56,12 @@ MAXIMAL = "MAXIMAL"
 # a false norm before the exact one is computed.
 _FINGERPRINT_BITS = 4096
 
-# The largest group order the library forms, in bits: above the
+# The largest group order the library admits, in bits: above the
 # 12,069,923-bit order at (1093, 3), far below (3511, 3) at about 1.45 * 10^8
-# bits and (1093, 4) at about 1.32 * 10^10, which are refused at once.  The
-# largest order it admits, 851639^851640, takes 5 s on a 2-vCPU x86-64 host.
+# bits and (1093, 4) at about 1.32 * 10^10, which are refused at once.  An
+# admitted order is kept as (p, e); only str() or int() of it forms its
+# digits, which for the largest, 851639^851640, takes 5 s on a 2-vCPU
+# x86-64 host.
 MAX_ORDER_BITS = 1 << 24
 
 WIEFERICH_NOTE = (
@@ -92,19 +94,77 @@ class MaximalityCertificate:
     n: int
     wieferich: bool
     levels: tuple[LevelRecord, ...]
-    group_order_claimed: int
+    group_order_claimed: int | PrimePower
     verdict: str
 
 
-def group_order(p: int, n: int, max_bits: int = MAX_ORDER_BITS) -> int:
-    """Order of the n-fold wreath power of C_p: p^((p^n - 1)/(p - 1)).
+@dataclass(frozen=True, eq=False, slots=True)
+class PrimePower:
+    """The integer p^e for a prime p, held as (p, e) and formed only on demand.
 
-    The one place the order is formed.  It raises SizeLimitError when the
-    order has more than max_bits bits, and forms no order of more than
-    max_bits + 2 bits: the exponent e grows by Horner steps on
-    1 + p + ... + p^(n-1), and p^e has floor(e * log2(p)) + 1 bits, so the
-    steps stop once e * log2(p) passes max_bits + 1, past any float
-    rounding.  A hostile n costs about log_p(max_bits) steps.
+    No proof step reads the digits of a group order, so they are formed
+    only when int(), str(), bit_length() or * asks.  A residue is
+    pow(p, e, m), the hash is hash(p^e), and == and < against an int
+    decide from bit lengths first, forming p^e only when the int has about
+    its bit length, so that work is bounded by the int's size.
+    """
+
+    p: int
+    e: int
+
+    def __int__(self) -> int:
+        return self.p**self.e
+
+    def __str__(self) -> str:
+        return str(int(self))
+
+    def bit_length(self) -> int:
+        return int(self).bit_length()
+
+    def __mul__(self, other):
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+    def __mod__(self, m: int) -> int:
+        return pow(self.p, self.e, m)
+
+    def __hash__(self) -> int:
+        return pow(self.p, self.e, sys.hash_info.modulus)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PrimePower):  # p is prime, so p^e determines (p, e)
+            return (self.p, self.e) == (other.p, other.e)
+        return self._compare(other) == 0 if isinstance(other, int) else NotImplemented
+
+    def __lt__(self, other) -> bool:
+        return self._compare(other) < 0 if isinstance(other, int) else NotImplemented
+
+    def _compare(self, other: int) -> int:
+        """The sign of p^e - other.
+
+        log2(other) lies in [bitlen - 1, bitlen), so a gap of more than one
+        bit from e * log2(p) decides, past any float rounding.
+        """
+        gap = other.bit_length() - 1 - self.e * math.log2(self.p)
+        if other <= 0 or gap < -2:
+            return 1
+        if gap > 1:
+            return -1
+        value = int(self)
+        return (value > other) - (value < other)
+
+
+def group_order(p: int, n: int, max_bits: int = MAX_ORDER_BITS) -> PrimePower:
+    """Order of the n-fold wreath power of C_p: p^((p^n - 1)/(p - 1)), as a PrimePower.
+
+    The one place the order is defined.  It raises SizeLimitError when the
+    order has more than max_bits bits.  The exponent e grows by Horner
+    steps on 1 + p + ... + p^(n-1), and p^e has floor(e * log2(p)) + 1
+    bits, so the steps stop once e * log2(p) passes max_bits + 1, past any
+    float rounding; a hostile n costs about log_p(max_bits) steps.  The
+    float decides the exact cap too, unless e * log2(p) lies within
+    rounding of max_bits: only then is p^e formed, of about max_bits bits.
     """
     require_odd_prime(p)
     if n < 1:
@@ -115,8 +175,10 @@ def group_order(p: int, n: int, max_bits: int = MAX_ORDER_BITS) -> int:
         if exponent * log2_p > max_bits + 1:
             break
     else:
-        order = p**exponent
-        if order.bit_length() <= max_bits:
+        # p^e has at most max_bits bits exactly when e * log2(p) < max_bits
+        order, gap = PrimePower(p, exponent), max_bits - exponent * log2_p
+        slack = abs(max_bits) * 2**-40  # far above the rounding error of e * log2(p)
+        if gap > slack or gap >= -slack and order.bit_length() <= max_bits:
             return order
     raise SizeLimitError(f"the group order {p}^(({p}^{n} - 1)/{p - 1}) has more than {max_bits} bits")
 
@@ -149,8 +211,9 @@ def require_printable_order(p: int, n: int) -> None:
 
     The order p^((p^n - 1)/(p - 1)) is written in decimal, so it must fit
     the int-str digit limit of _int_str_limit.  group_order, capped at the
-    bit length of 10^limit, never forms it far past the limit.  p must be
-    an odd prime and n >= 1.
+    bit length of 10^limit, and the comparison with 10^limit decide from
+    the exponent, and form the order only when it has about as many digits
+    as the limit.  p must be an odd prime and n >= 1.
     """
     limit = _int_str_limit()
     bound = 10**limit
@@ -239,9 +302,10 @@ def certificate_problems(cert: MaximalityCertificate) -> list[str]:
     the verdict must be the one _verdict derives from the flag and levels.
 
     Work is bounded by the size of the certificate: p must be below
-    DETERMINISTIC_LIMIT, group_order forms the order only up to the bit
-    length of the claimed one (a longer order does not match), no power
-    q^e is formed when it would exceed the norm, and the orbit walk stops
+    DETERMINISTIC_LIMIT, group_order refuses a hostile n after a few steps
+    of its exponent (a refused order does not match), the order is formed
+    only when the claimed one has about its bit length, no power q^e is
+    formed when it would exceed the norm, and the orbit walk stops
     at the first level whose norm differs, so a file buys at most one
     orbit step beyond the norms it holds.  A large point's norm is first
     compared modulo a random prime, so a false claim there costs no exact
@@ -260,7 +324,7 @@ def certificate_problems(cert: MaximalityCertificate) -> list[str]:
     if cert.wieferich != wieferich_check(p):
         problems.append(f"wieferich flag {cert.wieferich} contradicts 2^(p-1) mod p^2")
     try:
-        order_matches = cert.group_order_claimed == group_order(p, n, cert.group_order_claimed.bit_length())
+        order_matches = cert.group_order_claimed == group_order(p, n)
     except SizeLimitError:
         order_matches = False
     if not order_matches:

@@ -30,7 +30,7 @@ from wreathcert import (
     one_minus_zeta,
     orbit_points,
 )
-from wreathcert.certificate import MAX_ORDER_BITS, certificate_to_dict, require_printable_order
+from wreathcert.certificate import MAX_ORDER_BITS, PrimePower, certificate_to_dict, require_printable_order
 
 P3_WITNESSES = [(7, 1), (43, 1), (11, 2), (1429, 1), (139, 1)]
 P3_LEVEL5_NORM = 8050183582883899128838114506334853717591107  # 139 * a 136-bit prime
@@ -50,7 +50,55 @@ def test_group_order_values():
 @pytest.mark.parametrize("p,n_top", [(3, 6), (5, 3), (1093, 2)])
 def test_group_order_matches_recursion(p, n_top):
     for n in range(1, n_top + 1):
-        assert group_order(p, n) == oracles.group_order_recursive(p, n)
+        order, want = group_order(p, n), oracles.group_order_recursive(p, n)
+        assert order == want and want == order
+        assert (order.p, order.e) == (p, (p**n - 1) // (p - 1))
+        assert (want - 1).bit_length() == want.bit_length()
+        for other in (0, -want, want * p, want - 1):
+            assert order != other and other != order
+
+
+def test_group_order_acts_as_its_integer():
+    assert hash(group_order(3, 2)) == hash(81)
+    assert {group_order(3, 2): "order"}[81] == "order"
+    for p, n in ((3, 1), (3, 5), (5, 3), (1093, 2)):
+        order = group_order(p, n)
+        assert hash(order) == hash(int(order))
+        assert str(order) == str(int(order))
+        assert order.bit_length() == int(order).bit_length()
+        assert order * p == p * order == int(order) * p
+        for m in (1, 2, 9, 2**61 - 1):
+            assert order % m == int(order) % m
+        assert order < int(order) + 1 and not order < int(order) and not order < 1
+
+
+def _forbid_forming(patch) -> None:
+    """Make PrimePower raise wherever it would form p^e."""
+
+    def formed(self):
+        raise AssertionError(f"formed {self.p}^{self.e}")
+
+    patch.setattr(PrimePower, "__int__", formed)
+    patch.setattr(PrimePower, "__str__", formed)
+
+
+def test_wieferich_certificate_at_1093_3_forms_no_big_integer(monkeypatch, set_int_str_limit):
+    # the order has 12,069,923 bits; no proof step reads its digits
+    with monkeypatch.context() as patch:
+        _forbid_forming(patch)
+        cert = build_certificate(1093, 3)
+        order = cert.group_order_claimed
+        assert cert.verdict == INDETERMINATE
+        assert (order.p, order.e) == (1093, 1093**2 + 1093 + 1)
+        for q in (2**61 - 1, 2**89 - 1, 10**9 + 7):
+            assert order % q == pow(1093, order.e, q)
+        assert certificate_problems(cert) == []
+        for claim in (0, 1093**1094):  # an int claim far from its bit length forms nothing either
+            problems = certificate_problems(dataclasses.replace(cert, group_order_claimed=claim))
+            assert problems == ["group_order_claimed does not match p^((p^n - 1)/(p - 1))"]
+    set_int_str_limit(4300)
+    with pytest.raises(ValueError, match="4300"):  # writing it still hits the int-str digit limit
+        certificate_to_json(cert)
 
 
 def test_group_order_refuses_past_its_bit_cap_at_once():
@@ -70,14 +118,29 @@ def test_group_order_refuses_past_its_bit_cap_at_once():
         with pytest.raises(SizeLimitError, match=r"has more than \d+ bits$"):
             call()
         assert time.perf_counter() - started < 0.1
-    # the cap is exact: an order of b bits passes a cap of b and fails b - 1
-    for p, n in ((3, 1), (3, 5), (5, 3), (7, 4), (1093, 2)):
-        order = group_order(p, n)
-        assert group_order(p, n, order.bit_length()) == order
-        bits = order.bit_length() - 1
-        message = f"the group order {p}^(({p}^{n} - 1)/{p - 1}) has more than {bits} bits"
+
+
+def test_group_order_cap_is_exact(monkeypatch):
+    # an order of b bits passes a cap of b and fails b - 1, decided from
+    # e * log2(p) alone: the order is not formed
+    points = [(p, n, group_order(p, n).bit_length()) for p, n in ((3, 1), (3, 5), (5, 3), (7, 4), (1093, 2))]
+    _forbid_forming(monkeypatch)
+    for p, n, bits in points:
+        assert group_order(p, n, bits) == PrimePower(p, (p**n - 1) // (p - 1))
+        message = f"the group order {p}^(({p}^{n} - 1)/{p - 1}) has more than {bits - 1} bits"
         with pytest.raises(SizeLimitError, match=f"^{re.escape(message)}$"):
-            group_order(p, n, bits)
+            group_order(p, n, bits - 1)
+
+
+def test_group_order_cap_forms_the_order_where_the_float_cannot_decide(monkeypatch):
+    # with log2(3) read as 1.5, e * log2(p) at (3, 2) is exactly 6.0, a cap
+    # of 6 is a float tie, and only the formed 81 (7 bits) refuses it
+    formed = []
+    monkeypatch.setattr(math, "log2", lambda x: 1.5)
+    monkeypatch.setattr(PrimePower, "__int__", lambda self: formed.append(self) or self.p**self.e)
+    with pytest.raises(SizeLimitError, match="more than 6 bits$"):
+        group_order(3, 2, 6)
+    assert formed == [PrimePower(3, 4)]
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
