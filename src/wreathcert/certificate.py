@@ -12,10 +12,11 @@ A level records only its norm and its witness (q, e).  build_certificate
 takes as witness the first prime q found by the search of
 factoring.certified_primes whose exponent p does not divide, and stops
 the search there, so the rest of the norm is never factored; when trial
-division finds q, it is the smallest such prime.  certificate_problems
-never factors: it recomputes every norm from phi along the orbit of 1, so
-each number it accepts is tied to phi, and re-checks the witness by a
-deterministic primality test and two exact divisions.
+division finds q, it is the smallest such prime, and no larger trial
+prime is tried.  certificate_problems never factors: it recomputes every
+norm from phi along the orbit of 1, so each number it accepts is tied to
+phi, and re-checks the witness by a deterministic primality test and two
+exact divisions.
 
 No witness needs a "not found at an earlier level" check, because the
 levels are pairwise coprime (Lemma C).  If a prime Q of Z[zeta] divides
@@ -35,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import sys
 from dataclasses import dataclass
 
@@ -250,8 +252,10 @@ def _level_record(p: int, m: int, norm: int, cfg: FactorConfig) -> LevelRecord:
 
     The witness is the first prime of certified_primes(norm) whose exact
     exponent p does not divide: the smallest one when trial division finds
-    it, else the first rho finds.  The search stops there, so the rest of
-    the norm is never factored; with no such prime the witness is None.
+    it, else the first rho finds.  The search stops there: trial division
+    yields each prime as it divides it out, so it tries no larger prime,
+    and the rest of the norm is never factored.  With no such prime the
+    witness is None.
     """
     for q in certified_primes(norm, cfg, []):
         e = _exact_exponent(norm, q)  # counted here so exactness never rests on the search
@@ -415,6 +419,7 @@ def _power_exceeds(q: int, e: int, bound: int) -> bool:
 # parse and verify.
 
 _DECIMAL = "a decimal-string integer"
+_CANONICAL_DECIMAL = re.compile("0|-?[1-9][0-9]*")
 _KIND_NAMES = {int: "an integer", bool: "a boolean", str: "a string", _DECIMAL: _DECIMAL}
 _CERTIFICATE_FIELDS = {"p": int, "n": int, "wieferich": bool, "group_order_claimed": _DECIMAL, "verdict": str}
 _LEVEL_FIELDS = {"m": int, "norm_abs": _DECIMAL}
@@ -437,13 +442,18 @@ def certificate_to_json(cert: MaximalityCertificate) -> str:
 
 
 def _decimal(value) -> int | None:
-    """The integer a string spells in canonical decimal, the writer's str(n); else None."""
-    try:
-        number = int(value, 10) if isinstance(value, str) else None
-    except ValueError:  # not decimal, or past the int-str digit limit
+    """The integer a string spells in canonical decimal, the writer's str(n); else None.
+
+    The syntax is one ASCII match, not str(int(value)) == value, whose
+    str() is quadratic in the digit count; int() alone also takes spaces,
+    "+", "_", leading zeros, "-0" and non-ASCII digits.
+    """
+    if not isinstance(value, str) or not _CANONICAL_DECIMAL.fullmatch(value):
         return None
-    # int() also takes spaces, "+", "_", leading zeros, "-0" and non-ASCII digits
-    return number if str(number) == value else None
+    try:
+        return int(value)
+    except ValueError:  # past the int-str digit limit
+        return None
 
 
 def _read_fields(problems: list[str], table: dict, obj: dict, where: str) -> dict:

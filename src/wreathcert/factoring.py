@@ -7,18 +7,21 @@ certificate's witness, verify's fingerprint prime) keeps n below the
 limit: require_odd_prime and is_prime_certain refuse larger n before
 they ask.
 
-primes_up_to() is the one prime sieve; trial division and the Wieferich
-scan both walk it, and MAX_SIEVE_LIMIT caps its memory.
+primes_up_to() is the one prime sieve, over the odd numbers only; trial
+division and the Wieferich scan both walk it, and MAX_SIEVE_LIMIT caps its
+memory.
 
 certified_primes() is the one factoring search: it yields the primes of |n|
 below DETERMINISTIC_LIMIT lazily, in the order it finds them, so a caller
 that needs one prime (the certificate's witness) stops there and the rest
 of n is never factored.  Trial division up to a configured bound comes
-first, its primes ascending; then a seeded Brent-variant Pollard rho within
-an iteration budget, searching the smaller part of each split first.
-Whatever is left unfactored (probable primes above the deterministic range,
-composites the budget did not split) goes to an honest leftover.  The
-tests collect the whole stream into a full factorization (tests/oracles.py).
+first, yielding each prime ascending as it divides it out, so it reads no
+prime past the one the caller stops at; then a seeded Brent-variant Pollard
+rho within an iteration budget, searching the smaller part of each split
+first.  Whatever is left unfactored (probable primes above the
+deterministic range, composites the budget did not split) goes to an
+honest leftover.  The tests collect the whole stream into a full
+factorization (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import compress
-from typing import Iterator
+from itertools import chain, compress
+from typing import Generator, Iterator
 
 # Miller-Rabin with the first thirteen prime bases is a proven primality
 # test below this bound, the least strong pseudoprime to all of them
@@ -40,8 +43,8 @@ _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
 )
 
-# primes_up_to holds a (limit + 1)-byte sieve, so both of its callers, the
-# trial bound of certified_primes() and the Wieferich scan limit, stop at 100 MB
+# primes_up_to holds a sieve of about limit/2 bytes, so both of its callers,
+# the trial bound of certified_primes() and the Wieferich scan limit, stop at 50 MB
 MAX_SIEVE_LIMIT = 10**8
 
 
@@ -108,30 +111,36 @@ def is_prime_certain(n: int) -> bool:
 
 
 def primes_up_to(limit: int) -> Iterator[int]:
-    """The primes q <= limit, ascending, read lazily off a (limit + 1)-byte sieve.
+    """The primes q <= limit, ascending, read lazily off a sieve of the odd numbers.
 
-    Callers keep 0 <= limit <= MAX_SIEVE_LIMIT.
+    The sieve holds one byte per odd number up to limit, about limit/2
+    bytes; 2 is chained in front.  Callers keep 0 <= limit <= MAX_SIEVE_LIMIT.
     """
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for q in range(2, math.isqrt(limit) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = bytes((limit - q * q) // q + 1)
-    return compress(range(limit + 1), sieve)
+    size = limit // 2 + 1  # byte i stands for 2i + 1; range() below stops at limit
+    sieve = bytearray([1]) * size
+    sieve[0] = 0  # 1 is not prime
+    for q in range(3, math.isqrt(limit) + 1, 2):
+        if sieve[q // 2]:
+            start = q * q // 2
+            sieve[start::q] = bytes(len(range(start, size, q)))
+    odd_primes = compress(range(1, limit + 1, 2), sieve)
+    return chain([2], odd_primes) if limit >= 2 else odd_primes
 
 
-def _trial_divide(m: int, bound: int, counts: dict[int, int]) -> int:
-    """Strip the prime factors q <= bound from m, recording exponents.
+def _trial_divide(m: int, bound: int) -> Generator[int, None, int]:
+    """Divide the prime factors q <= bound out of m, yielding each q as it goes.
 
-    Stops once q^2 exceeds what is left, so the rest it returns is 1, a
-    prime, or a number with no prime factor <= bound.
+    The primes come ascending, once per multiplicity, so a caller that
+    stops at one never has the rest of m divided.  Trial division ends
+    once q^2 exceeds what is left, and returns that rest: 1, a prime, or a
+    number with no prime factor <= bound.
     """
     for q in primes_up_to(min(bound, math.isqrt(m))):
         if q * q > m:
             break
         while m % q == 0:
-            counts[q] = counts.get(q, 0) + 1
             m //= q
+            yield q
     return m
 
 
@@ -160,7 +169,7 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
                 take = min(batch, r - k, budget - used)
                 for _ in range(take):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 used += take
                 g = math.gcd(q, n)
                 k += take
@@ -170,7 +179,7 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if 1 < g < n:
             return g, used
         # failed attempt (g == 1 with budget spent, or degenerate cycle);
@@ -188,10 +197,7 @@ def certified_primes(n: int, cfg: FactorConfig, leftover: list[int]) -> Iterator
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    counts: dict[int, int] = {}
-    m = _trial_divide(abs(n), cfg.trial_bound, counts)
-    for q, e in counts.items():
-        yield from [q] * e
+    m = yield from _trial_divide(abs(n), cfg.trial_bound)
 
     rng = random.Random(cfg.rho_seed)
     budget = cfg.rho_budget

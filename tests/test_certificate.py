@@ -228,6 +228,34 @@ def test_witness_search_stops_at_the_first_rho_witness(monkeypatch):
     assert len(calls) == 1
 
 
+def test_trial_division_reads_no_prime_past_its_witness(monkeypatch):
+    # each level's search pulls trial primes off the sieve only up to its
+    # witness; a level that needs rho reads the sieve to its end
+    reads = []
+    sieve = factoring.primes_up_to
+
+    def recorded(limit):
+        reads.append([])
+        for q in sieve(limit):
+            reads[-1].append(q)
+            yield q
+
+    def largest_reads(p, n):
+        reads.clear()
+        witnesses = [rec.witness[0] for rec in build_certificate(p, n).levels]
+        assert len(reads) == n
+        return [max(read, default=0) for read in reads], witnesses
+
+    monkeypatch.setattr(factoring, "primes_up_to", recorded)
+    largest, witnesses = largest_reads(3, 6)
+    assert witnesses == [7, 43, 11, 1429, 139, 5]
+    assert all(read <= q for read, q in zip(largest, witnesses)), largest
+    largest, witnesses = largest_reads(7, 3)
+    assert witnesses[2] > FactorConfig().trial_bound  # level 3 is a rho level
+    assert all(read <= q for read, q in zip(largest[:2], witnesses)), largest
+    assert reads[2] == list(sieve(FactorConfig().trial_bound))
+
+
 @pytest.mark.parametrize("p,n", [(3, 6), (5, 3), (7, 2), (11, 2), (13, 2)])
 def test_witness_is_the_smallest_of_the_full_factorization(p, n):
     # oracle: the smallest prime of the whole factorization whose exact
@@ -602,8 +630,13 @@ def _set(key, value):
     return lambda record: record.update({key: value})
 
 
-# int() reads each of these as an integer; only the canonical str(n) is schema-legal
-NON_CANONICAL_DECIMALS = (" 43", "+43", "4_3", "043", "-0", "\u0664\u0663")  # the last is Arabic-Indic 43
+# only the canonical str(n) is schema-legal; int() reads all of these but "",
+# "-" and the Unicode minus, and "43\n" passes a match that ends in "$"
+NON_CANONICAL_DECIMALS = (
+    " 43", "+43", "4_3", "043", "-0", "43\n", "", "-",
+    "\u221243",  # Unicode minus 43
+    "\u0664\u0663", "\u0664", "4\u0663",  # Arabic-Indic 43 and 4, and 4 then Arabic-Indic 3
+)
 # one edit per field of the schema: each field missing, and each of another JSON kind
 CERTIFICATE_EDITS = [_delete(key) for key in ("p", "n", "wieferich", "group_order_claimed", "verdict", "levels")] + [
     _set("p", True),
@@ -652,6 +685,23 @@ def test_parse_rejects_bad_documents():
     with pytest.raises(CertificateFormatError) as info:
         certificate_from_json(json.dumps(bad))
     assert info.value.problems == ["levels[0]: missing field 'norm_abs'"]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
+def test_parse_reads_decimals_up_to_the_int_str_limit(set_int_str_limit):
+    set_int_str_limit(4300)
+    good = certificate_to_dict(build_certificate(3, 1))
+
+    def parse_norm(text):
+        good["levels"][0]["norm_abs"] = text
+        return certificate_from_json(json.dumps(good)).levels[0].norm_abs
+
+    for text in ("9" * 4300, "-1" + "0" * 4299):
+        assert parse_norm(text) == int(text)
+    for text in ("9" * 4301, "-1" + "0" * 4300):  # canonical, but past the limit
+        with pytest.raises(CertificateFormatError) as info:
+            parse_norm(text)
+        assert info.value.problems == ["levels[0]: field 'norm_abs' must be a decimal-string integer"]
 
 
 def test_parse_accepts_tampered_but_wellformed():

@@ -1,7 +1,9 @@
 """Primality and factorization: exact exponents, honest leftovers, determinism."""
 
+import bisect
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -119,9 +121,12 @@ def test_factor_rejects_trial_bound_past_sieve_cap():
 
 
 def test_primes_up_to_matches_trial_division():
-    for limit in (0, 1, 2, 3, 4, 5, 10**4):
-        want = [q for q in range(2, limit + 1) if all(q % d for d in range(2, math.isqrt(q) + 1))]
-        assert list(primes_up_to(limit)) == want
+    naive = [q for q in range(2, 10**5 + 1) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+    # squares of odd primes, and their neighbours, are where an odd-only sieve can slip
+    squares = [q * q + d for q in naive if 2 < q <= 101 for d in (-1, 0, 1)]
+    for limit in [*range(301), *squares, 10**5]:
+        assert list(primes_up_to(limit)) == naive[: bisect.bisect_right(naive, limit)], limit
+    assert [list(primes_up_to(limit)) for limit in (0, 1, 2)] == [[], [], [2]]
 
 
 def naive_factors(m: int) -> dict[int, int]:
@@ -136,16 +141,28 @@ def naive_factors(m: int) -> dict[int, int]:
     return counts
 
 
+def trial_divide(m: int, bound: int) -> tuple[list[int], int]:
+    """The primes _trial_divide(m, bound) yields, in order, and the rest it returns."""
+    search = _trial_divide(m, bound)
+    primes = []
+    while True:
+        try:
+            primes.append(next(search))
+        except StopIteration as stop:
+            return primes, stop.value
+
+
 def test_trial_divide_and_factor_match_naive_factorization():
     for m in range(1, 5001):
         want = naive_factors(m)
         assert factor(m) == Factorization(tuple(sorted(want.items())), 1), m
         for bound in range(2, 61):
-            counts: dict[int, int] = {}
-            rest = _trial_divide(m, bound, counts)
-            # every prime it records is <= bound, with its exact exponent
+            primes, rest = trial_divide(m, bound)
+            assert primes == sorted(primes), (m, bound)  # ascending, once per multiplicity
+            counts = Counter(primes)
+            # every prime it yields is <= bound, with its exact exponent
             assert all(q <= bound and want[q] == e for q, e in counts.items()), (m, bound)
-            assert rest * math.prod(q**e for q, e in counts.items()) == m, (m, bound)
+            assert rest * math.prod(primes) == m, (m, bound)
             # what is left is 1, a prime, or free of primes <= bound
             left = {q: e for q, e in want.items() if q not in counts}
             assert left == {rest: 1} or all(q > bound for q in left), (m, bound)
