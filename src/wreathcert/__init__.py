@@ -44,7 +44,6 @@ from .dynamics import (
 from .errors import RingMismatchError, SizeLimitError
 from .factoring import (
     DETERMINISTIC_LIMIT,
-    FactorConfig,
     is_prime,
     is_prime_certain,
 )

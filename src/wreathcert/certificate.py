@@ -1,34 +1,35 @@
 """Maximality certificates for the iterated map over Z[zeta_p].
 
-The per-level criterion: level m holds when some rational prime q has
-q^e exactly dividing N(phi^m(1)) with p not dividing e.  The norm of a
-p-th-power ideal is a p-th power, so the ideal (phi^m(1)) is then not a
-p-th power.  With p not Wieferich and every level m = 1..n holding,
-that is the per-level hypothesis for the Galois group of the n-th
-iterate to be the full n-fold wreath product of C_p, of order
-p^((p^n - 1)/(p - 1)).
+The per-level criterion: level m holds when its norm N = N(phi^m(1)) is
+prime to p and N^(p-1) != 1 mod p^2 (_level_holds).  That proves N is not
+a p-th power in Z.  The unit group (Z/p^2)^* is cyclic of order p(p - 1),
+so its p-th powers are exactly the units x with x^(p-1) = 1, and a p-th
+power a^p in Z that is prime to p stays one mod p^2: N^(p-1) =
+a^(p(p-1)) = 1.  The norm of a p-th-power ideal is a p-th power, so the
+ideal (phi^m(1)) is then not a p-th power.  With p not Wieferich and
+every level m = 1..n holding, that is the per-level hypothesis for the
+Galois group of the n-th iterate to be the full n-fold wreath product of
+C_p, of order p^((p^n - 1)/(p - 1)).
 
-A level records only its norm and its witness (q, e).  build_certificate
-takes as witness the first prime q found by the search of
-factoring.certified_primes whose exponent p does not divide, and stops
-the search there, so the rest of the norm is never factored; when trial
-division finds q, it is the smallest such prime, and no larger trial
-prime is tried.  certificate_problems never factors: it recomputes every
-norm from phi along the orbit of 1, so each number it accepts is tied to
-phi, and re-checks the witness by a deterministic primality test and two
-exact divisions.
+For a non-Wieferich p the test passes at every level.  By Lemmas A and B
+(congruence.py), N = 2^p - 1 mod p^2.  That residue is 1 mod p, and the
+only p-th power mod p^2 that is 1 mod p is 1, so N^(p-1) = 1 mod p^2
+exactly when 2^p - 1 = 1 mod p^2, that is, when 2^(p-1) = 1 mod p^2.
+Nothing is factored: a level records only (m, norm_abs).
+certificate_problems recomputes every norm from phi along the orbit of
+1, so each number it accepts is tied to phi, and derives the verdict
+with the same test.
 
-No witness needs a "not found at an earlier level" check, because the
+No level needs a "not found at an earlier level" check, because the
 levels are pairwise coprime (Lemma C).  If a prime Q of Z[zeta] divides
 phi^m(1) and phi^n(1) with m < n, then phi^n(1) = phi^(n-m)(phi^m(1)) =
 phi^(n-m)(0) = 1 - zeta mod Q, by the fixed-point facts, so Q is the
 prime above p.  But every norm is 2^p - 1 = 1 mod p, so that prime
 divides none of them.
 
-A failed witness search is reported as INDETERMINATE, never as a
-refutation: rational exponents all divisible by p does not force the
-prime-ideal exponents to be, and an incomplete factorization proves
-nothing either way.
+A level that fails the test is reported as INDETERMINATE, never as a
+refutation: a norm that is a p-th power mod p^2 need not be one in Z,
+and a p-th-power norm need not come from a p-th-power ideal.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .congruence import expected_residue, wieferich_check
 from .cyclotomic import CycInt, require_odd_prime, require_ring_prime
 from .dynamics import orbit_points
 from .errors import SizeLimitError
-from .factoring import DETERMINISTIC_LIMIT, FactorConfig, certified_primes, is_prime_certain
+from .factoring import is_prime_certain
 
 SCHEMA = "wreath-cert/1"
 
@@ -68,8 +69,7 @@ MAX_ORDER_BITS = 1 << 24
 
 WIEFERICH_NOTE = (
     "p is a Wieferich prime, so the norm congruence no longer rules out "
-    "p-th-power norms and no witness search was attempted; maximality is "
-    "expected but not certified in this case"
+    "p-th-power norms; maximality is expected but not certified in this case"
 )
 
 
@@ -83,11 +83,10 @@ class CertificateFormatError(ValueError):
 
 @dataclass(frozen=True)
 class LevelRecord:
-    """One level of the orbit of 1: the norm N(phi^m(1)) and its witness (q, e)."""
+    """One level of the orbit of 1: m and the norm N(phi^m(1))."""
 
     m: int
     norm_abs: int
-    witness: tuple[int, int] | None
 
 
 @dataclass(frozen=True)
@@ -189,8 +188,7 @@ def require_certificate_input(p: int, n: int) -> None:
     """Raise ValueError unless build_certificate accepts (p, n).
 
     p must be an odd prime, and at most MAX_RING_PRIME unless it is
-    Wieferich (no levels are computed then); n must be at least 1.  The
-    FactorConfig needs no check here: it refuses a bad trial bound itself.
+    Wieferich (no levels are computed then); n must be at least 1.
     """
     require_odd_prime(p)
     if n < 1:
@@ -227,90 +225,68 @@ def require_printable_order(p: int, n: int) -> None:
         raise SizeLimitError(f"the group order {p}^(({p}^{n} - 1)/{p - 1}) has more than {limit} decimal digits")
 
 
-def _exact_exponent(n: int, q: int) -> int:
-    e = 0
-    while n % q == 0:
-        n //= q
-        e += 1
-    return e
-
-
 def _level_norm(m: int, point: CycInt) -> int:
-    """N(phi^m(1)), refused when it has more decimal digits than a certificate may write."""
+    """N(phi^m(1)), refused when it has more decimal digits than a certificate may write.
+
+    The cap is checked as each norm is formed, so a level past it stops
+    the build before any later orbit step.
+    """
     norm = point.norm()
     if norm <= 0:
         # the ring degree p-1 is even, so norms of nonzero elements are positive
         raise AssertionError(f"norm of level {m} is not positive: {norm}")
     limit = _int_str_limit()
-    if norm >= 10**limit:  # it could not be written, so it is not factored
+    if norm >= 10**limit:
         raise SizeLimitError(f"the norm of level {m} has more than {limit} decimal digits")
     return norm
 
 
-def _level_record(p: int, m: int, norm: int, cfg: FactorConfig) -> LevelRecord:
-    """Level m with norm N(phi^m(1)) and the first witness the search finds.
-
-    The witness is the first prime of certified_primes(norm) whose exact
-    exponent p does not divide: the smallest one when trial division finds
-    it, else the first rho finds.  The search stops there: trial division
-    yields each prime as it divides it out, so it tries no larger prime,
-    and the rest of the norm is never factored.  With no such prime the
-    witness is None.
-    """
-    for q in certified_primes(norm, cfg, []):
-        e = _exact_exponent(norm, q)  # counted here so exactness never rests on the search
-        if e % p:
-            return LevelRecord(m=m, norm_abs=norm, witness=(q, e))
-    return LevelRecord(m=m, norm_abs=norm, witness=None)
-
-
-def build_certificate(p: int, n: int, cfg: FactorConfig = FactorConfig()) -> MaximalityCertificate:
+def build_certificate(p: int, n: int) -> MaximalityCertificate:
     """Assemble a certificate for levels 1..n.
 
-    For a Wieferich p no levels are computed (the proof route is closed
-    regardless of witnesses) and the verdict is INDETERMINATE; the CLI
-    explains why with WIEFERICH_NOTE.  The input is checked first by
+    For a Wieferich p no levels are computed (the level test fails at
+    every level) and the verdict is INDETERMINATE; the CLI explains why
+    with WIEFERICH_NOTE.  The input is checked first by
     require_certificate_input, then a group order past MAX_ORDER_BITS is
-    refused before any level.  Every level's norm is formed before any
-    witness search, so size-cap failures inside the orbit, and a norm past
-    the int-str digit limit, propagate as SizeLimitError before anything
-    is factored.
+    refused before any level.  Size-cap failures inside the orbit, and a
+    norm past the int-str digit limit, propagate as SizeLimitError.
     """
     require_certificate_input(p, n)
     order = group_order(p, n)
     wieferich = wieferich_check(p)
     points = () if wieferich else orbit_points(p, CycInt.one(p), n)
-    norms = [_level_norm(m, point) for m, point in enumerate(points, 1)]
-    levels = tuple(_level_record(p, m, norm, cfg) for m, norm in enumerate(norms, 1))
+    levels = tuple(LevelRecord(m, _level_norm(m, point)) for m, point in enumerate(points, 1))
     return MaximalityCertificate(
         p=p, n=n, wieferich=wieferich, levels=levels, group_order_claimed=order,
-        verdict=_verdict(n, wieferich, levels),
+        verdict=_verdict(p, n, wieferich, levels),
     )
 
 
-def _verdict(n: int, wieferich: bool, levels) -> str:
-    """MAXIMAL exactly when p is not Wieferich and all n levels hold a witness."""
-    witnessed = len(levels) == n and all(rec.witness is not None for rec in levels)
-    return MAXIMAL if witnessed and not wieferich else INDETERMINATE
+def _level_holds(p: int, norm: int) -> bool:
+    """The level test: norm is prime to p and not a p-th power mod p^2, so not one in Z."""
+    return norm % p != 0 and pow(norm, p - 1, p * p) != 1
+
+
+def _verdict(p: int, n: int, wieferich: bool, levels) -> str:
+    """MAXIMAL exactly when p is not Wieferich and all n levels pass the level test."""
+    held = len(levels) == n and all(_level_holds(p, rec.norm_abs) for rec in levels)
+    return MAXIMAL if held and not wieferich else INDETERMINATE
 
 
 def certificate_problems(cert: MaximalityCertificate) -> list[str]:
-    """Re-check a certificate without factoring; list what fails.
+    """Re-check a certificate; list what fails.
 
     Level m passes when its norm_abs is N(phi^m(1)), recomputed here along
-    the orbit of 1, and its witness (q, e) has q prime below
-    DETERMINISTIC_LIMIT (so primality is certain), q^e exactly dividing
-    the norm, and p not dividing e.  The norm must also be 2^p - 1 mod p^2,
-    as every norm on the orbit of 1 is.  The Wieferich flag is re-checked
-    by modular exponentiation, the group order by its closed formula, and
-    the verdict must be the one _verdict derives from the flag and levels.
+    the orbit of 1.  The norm must also be 2^p - 1 mod p^2, as every norm
+    on the orbit of 1 is.  The Wieferich flag is re-checked by modular
+    exponentiation, the group order by its closed formula, and the verdict
+    must be the one _verdict derives from the flag and the level test.
 
     Work is bounded by the size of the certificate: p must be below
     DETERMINISTIC_LIMIT, group_order refuses a hostile n after a few steps
     of its exponent (a refused order does not match), the order is formed
-    only when the claimed one has about its bit length, no power q^e is
-    formed when it would exceed the norm, and the orbit walk stops
-    at the first level whose norm differs, so a file buys at most one
+    only when the claimed one has about its bit length, and the orbit walk
+    stops at the first level whose norm differs, so a file buys at most one
     orbit step beyond the norms it holds.  A large point's norm is first
     compared modulo a random prime, so a false claim there costs no exact
     norm.
@@ -347,25 +323,10 @@ def certificate_problems(cert: MaximalityCertificate) -> list[str]:
         residue = rec.norm_abs % p2
         if residue != want:
             problems.append(f"{tag}: norm residue {residue} differs from 2^p - 1 = {want} mod p^2")
-        if rec.witness is not None:
-            q, e = rec.witness
-            if q >= DETERMINISTIC_LIMIT:
-                problems.append(f"{tag}: a {q.bit_length()}-bit witness is past the deterministic primality range")
-            elif not is_prime_certain(q):
-                problems.append(f"{tag}: witness {q} is not prime")
-            elif (
-                e < 1
-                or _power_exceeds(q, e, rec.norm_abs)
-                or rec.norm_abs % q**e != 0
-                or rec.norm_abs % q ** (e + 1) == 0
-            ):
-                problems.append(f"{tag}: {q}^{e} does not exactly divide the norm")
-            elif e % p == 0:
-                problems.append(f"{tag}: witness exponent {e} is divisible by p")
     if cert.levels:
         problems.extend(_norm_problems(p, [rec.norm_abs for rec in cert.levels]))
 
-    verdict = _verdict(n, cert.wieferich, cert.levels)
+    verdict = _verdict(p, n, cert.wieferich, cert.levels)
     if cert.verdict != verdict:  # named, not echoed: the claimed string may be up to a megabyte
         problems.append(f"the levels and wieferich flag give verdict {verdict}, not the one claimed")
     return problems
@@ -396,15 +357,6 @@ def _norm_differs(x: CycInt, claimed: int) -> bool:
     return x.norm() != claimed
 
 
-def _power_exceeds(q: int, e: int, bound: int) -> bool:
-    """True when |q|^e > bound >= 1 follows from bit lengths alone.
-
-    |q|^e >= 2^(e * (bitlen(q) - 1)), so with |q| >= 2 any e above
-    bound.bit_length() qualifies, and q^e is never formed for it.
-    """
-    return e * (abs(q).bit_length() - 1) >= bound.bit_length()
-
-
 # -- serialization ------------------------------------------------------
 #
 # Schema "wreath-cert/1" is the two tables below, one per record: each maps
@@ -412,11 +364,10 @@ def _power_exceeds(q: int, e: int, bound: int) -> bool:
 # writer and the reader both walk them.  A kind is the type json gives (an
 # int is never a bool), or _DECIMAL: an integer of any size written as a
 # decimal string, so no consumer silently truncates at 64 bits.  Besides
-# the tables, a certificate holds its schema tag and its levels, and a level
-# its witness (null or a pair of decimal strings [q, e]).  Other keys are
-# ignored, so documents that still carry the retired note, or the retired
-# level status, factorization, norm_mod_p2, unit_check and p_coprime_check,
-# parse and verify.
+# the tables, a certificate holds its schema tag and its levels.  Other keys
+# are ignored, so documents that still carry the retired note, or any
+# retired level key of older /1 files (a prime factor's [q, e] pair, status,
+# factorization, norm_mod_p2, unit_check, p_coprime_check), parse and verify.
 
 _DECIMAL = "a decimal-string integer"
 _CANONICAL_DECIMAL = re.compile("0|-?[1-9][0-9]*")
@@ -430,10 +381,7 @@ def _write_fields(table: dict, record) -> dict:
 
 
 def certificate_to_dict(cert: MaximalityCertificate) -> dict:
-    levels = [
-        dict(_write_fields(_LEVEL_FIELDS, rec), witness=[str(v) for v in rec.witness] if rec.witness else None)
-        for rec in cert.levels
-    ]
+    levels = [_write_fields(_LEVEL_FIELDS, rec) for rec in cert.levels]
     return dict(_write_fields(_CERTIFICATE_FIELDS, cert), schema=SCHEMA, levels=levels)
 
 
@@ -494,12 +442,7 @@ def certificate_from_json(text: str | bytes) -> MaximalityCertificate:
         if not isinstance(item, dict):
             problems.append(f"{where}: not an object")
             continue
-        witness = item.get("witness")
-        if witness is not None:
-            witness = tuple(map(_decimal, witness)) if isinstance(witness, list) and len(witness) == 2 else None
-            if witness is None or None in witness:
-                problems.append(f"{where}: witness must be null or a pair of decimal strings")
-        records.append(dict(_read_fields(problems, _LEVEL_FIELDS, item, where), witness=witness))
+        records.append(_read_fields(problems, _LEVEL_FIELDS, item, where))
     if problems:
         raise CertificateFormatError(problems)
     return MaximalityCertificate(levels=tuple(LevelRecord(**rec) for rec in records), **fields)

@@ -5,10 +5,10 @@ JSON is the source of truth and the human-readable text is a rendering
 of the same report object.
 
 Exit codes: 0 success/PASS, 1 a check ran and failed, 2 usage error or
-a malformed certificate file, 3 certificate verdict INDETERMINATE, 4 I/O
-error, 5 size cap exceeded (certificate only: the orbit's coefficient
-cap, the group-order bit cap, or an order or norm past Python's int-str
-digit limit).
+a malformed certificate file, 3 certificate verdict INDETERMINATE (p is a
+Wieferich prime), 4 I/O error, 5 size cap exceeded (certificate only:
+the orbit's coefficient cap, the group-order bit cap, or an order or
+norm past Python's int-str digit limit).
 
 ``main(argv)`` may be called repeatedly in one process: the parser is
 built once, on the first call, and each call parses into a fresh
@@ -38,7 +38,6 @@ from .congruence import norm_congruence_check, require_max_levels, require_scan_
 from .cyclotomic import require_odd_prime, require_ring_prime
 from .dynamics import eisenstein_check, fixed_point_check, orbit_congruence_check
 from .errors import SizeLimitError
-from .factoring import FactorConfig
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -118,11 +117,10 @@ def cmd_wieferich(args) -> int:
 
 
 def cmd_certificate(args) -> int:
-    cfg = FactorConfig(rho_seed=args.seed)
     try:
         require_certificate_input(args.p, args.max_n)
         require_printable_order(args.p, args.max_n)
-        cert = build_certificate(args.p, args.max_n, cfg)
+        cert = build_certificate(args.p, args.max_n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -212,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cert.add_argument("--p", type=_int_type(require_odd_prime, "not an odd prime"), required=True)
     p_cert.add_argument("--max-n", type=_int_type(_at_least_one, "bad value"), required=True)
-    p_cert.add_argument("--seed", type=int, default=FactorConfig.rho_seed)
+    p_cert.add_argument("--seed", type=int, help="ignored: the certificate depends on --p and --max-n only")
     p_cert.add_argument("--out", required=True, metavar="FILE")
     p_cert.set_defaults(func=cmd_certificate)
 

@@ -9,9 +9,8 @@ Each of these answers a question the library answers another way:
 * the structural facts, read off the expanded iterate and off explicit
   orbit walks with its Horner evaluation, where the library reads them
   off phi_at's values and the binomials by induction;
-* the full factorization (factor), which collects every prime that
-  certified_primes yields and its leftover, where a certificate stops
-  the search at its first witness;
+* whether an integer is a p-th power, by its exact integer p-th root
+  (iroot), where a certificate decides each level from its norm mod p^2;
 * the group order by the recursion |W_1| = p, |W_k| = |W_(k-1)|^p * p,
   where the library uses the closed formula p^((p^n - 1)/(p - 1));
 * ring multiply by the schoolbook convolution of the coefficient
@@ -37,14 +36,11 @@ to each other or to what the library does compute:
 """
 
 import math
-from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from wreathcert import CycInt, FactorConfig, RingMismatchError, one_minus_zeta, require_ring_prime, zeta
+from wreathcert import CycInt, RingMismatchError, one_minus_zeta, require_ring_prime, zeta
 from wreathcert.cyclotomic import _convolve, _wrap
-from wreathcert.factoring import certified_primes
 
 # -- the expanded iterate ----------------------------------------------------
 
@@ -200,36 +196,19 @@ def walked_orbit_congruence_failures(p: int, t_max: int) -> list[str]:
     return failures
 
 
-# -- the full factorization -------------------------------------------------
+# -- integer roots ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Multiset of certified prime factors plus an honest leftover.
-
-    |n| = prod(q**e for q, e in factors) * cofactor, exactly.  Every
-    listed prime passed a deterministic primality check.  cofactor is 1
-    iff the factorization is complete.
-    """
-
-    factors: tuple[tuple[int, int], ...]
-    cofactor: int
-
-
-def factor(n: int, cfg: FactorConfig = FactorConfig()) -> Factorization:
-    """Factor |n|: all that certified_primes yields, sorted, and its leftover as one cofactor.
-
-    Deterministic for a given (n, cfg).  Raises ValueError for n = 0.
-    """
-    leftover: list[int] = []
-    factors = tuple(sorted(Counter(certified_primes(n, cfg, leftover)).items()))
-    cofactor = math.prod(leftover)
-    check = cofactor
-    for q, e in factors:
-        check *= q**e
-    if check != abs(n):
-        raise AssertionError("factorization does not reconstruct its input")
-    return Factorization(factors, cofactor)
+def iroot(n: int, k: int) -> int:
+    """The integer k-th root of n >= 0, floor(n^(1/k)), by Newton's method from above."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 # -- group order -----------------------------------------------------------

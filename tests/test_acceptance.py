@@ -107,7 +107,7 @@ def test_criterion_6_certificates():
         assert cert.verdict == MAXIMAL, (p, n, cert)  # INDETERMINATE here is a failure
         assert certificate_problems(cert) == []
     p3 = build_certificate(3, 5)
-    assert [rec.witness for rec in p3.levels[:3]] == [(7, 1), (43, 1), (11, 2)]
+    assert [rec.norm_abs for rec in p3.levels[:3]] == [7, 43, 58201]
     assert time.time() - started < 300
     _report(6, "maximality certificates at (3,5), (5,2), (7,2)", started)
 

@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 
-from wreathcert import cyclotomic, factoring
+from wreathcert import cyclotomic
 from wreathcert import (
     DETERMINISTIC_LIMIT,
     INDETERMINATE,
@@ -19,7 +19,7 @@ from wreathcert import (
     SCHEMA,
     CertificateFormatError,
     CycInt,
-    FactorConfig,
+    LevelRecord,
     SizeLimitError,
     build_certificate,
     certificate_from_json,
@@ -30,9 +30,15 @@ from wreathcert import (
     one_minus_zeta,
     orbit_points,
 )
-from wreathcert.certificate import MAX_ORDER_BITS, PrimePower, certificate_to_dict, require_printable_order
+from wreathcert.certificate import (
+    MAX_ORDER_BITS,
+    PrimePower,
+    _level_holds,
+    _verdict,
+    certificate_to_dict,
+    require_printable_order,
+)
 
-P3_WITNESSES = [(7, 1), (43, 1), (11, 2), (1429, 1), (139, 1)]
 P3_LEVEL5_NORM = 8050183582883899128838114506334853717591107  # 139 * a 136-bit prime
 
 
@@ -181,95 +187,103 @@ def test_levels_are_pairwise_coprime(p, n):
             assert math.gcd(norm, later.norm()) == 1
 
 
+# -- the level test ------------------------------------------------------------
+
+ODD_PRIMES_TO_101 = [p for p in range(3, 102, 2) if is_prime(p)]
+# every level of these points, and each odd p <= 101 at level 1
+LEVEL_POINTS = [(3, 7), (5, 6), (7, 3), (11, 3), (13, 2)] + [(p, 1) for p in ODD_PRIMES_TO_101 if p > 13]
+# (p, m) -> (q, e): a prime q with q^e exactly dividing N(phi^m(1)) and p not
+# dividing e, the first one a factoring search found.  Each is independent
+# evidence that the norm is not a p-th power.  That search found none at
+# (11, 3) within its budget, nor at (89, 1), whose norm 2^89 - 1 is a prime
+# past DETERMINISTIC_LIMIT.
+WITNESSES = {
+    (3, 1): (7, 1), (3, 2): (43, 1), (3, 3): (11, 2), (3, 4): (1429, 1),
+    (3, 5): (139, 1), (3, 6): (5, 4), (3, 7): (12757, 1),
+    (5, 1): (31, 1), (5, 2): (11, 1), (5, 3): (12826951, 1), (5, 4): (1571, 1),
+    (5, 5): (241, 1), (5, 6): (187733512411, 1),
+    (7, 1): (127, 1), (7, 2): (491, 1), (7, 3): (6736940533, 1),
+    (11, 1): (23, 1), (11, 2): (67, 1),
+    (13, 1): (8191, 1), (13, 2): (937, 1),
+    (17, 1): (131071, 1), (19, 1): (524287, 1), (23, 1): (47, 1), (29, 1): (233, 1),
+    (31, 1): (2147483647, 1), (37, 1): (223, 1), (41, 1): (13367, 1), (43, 1): (431, 1),
+    (47, 1): (2351, 1), (53, 1): (6361, 1), (59, 1): (179951, 1),
+    (61, 1): (2305843009213693951, 1), (67, 1): (193707721, 1), (71, 1): (228479, 1),
+    (73, 1): (439, 1), (79, 1): (2687, 1), (83, 1): (167, 1), (97, 1): (11447, 1),
+    (101, 1): (7432339208719, 1),
+}
+NO_WITNESS = {(11, 3), (89, 1)}
+
+
+@pytest.mark.parametrize("p,n", LEVEL_POINTS)
+def test_level_test_holds_at_every_level(p, n):
+    # oracles: the exact integer p-th root shows that no norm is a p-th
+    # power, and a recorded witness shows it again by its exponent
+    cert = build_certificate(p, n)
+    assert cert.verdict == MAXIMAL
+    for rec in cert.levels:
+        norm, point = rec.norm_abs, (p, rec.m)
+        assert _level_holds(p, norm), point
+        assert oracles.iroot(norm, p) ** p != norm, point
+        if point in NO_WITNESS:
+            continue
+        q, e = WITNESSES[point]
+        assert is_prime(q) and e % p, point
+        assert norm % q**e == 0 and norm % q ** (e + 1) != 0, point
+
+
+def test_level_test_refuses_pth_powers_and_multiples_of_p():
+    # negative controls: none of these may count as a level, in the test or
+    # in the verdict.  The test is one-sided: 1 + 9k is a cube mod 9, so it
+    # is refused even where it is not a cube in Z.
+    not_cubes = [norm for norm in range(10, 10**4, 9) if oracles.iroot(norm, 3) ** 3 != norm]
+    controls = [(3, 7**3)] + [(3, norm) for norm in not_cubes] + [(p, p**p) for p in ODD_PRIMES_TO_101]
+    controls += [(p, a**p) for p in ODD_PRIMES_TO_101 for a in (2, -3, 10, 2**64 + 1) if a % p]
+    for p, norm in controls:
+        assert not _level_holds(p, norm), (p, norm)
+        assert _verdict(p, 1, False, (LevelRecord(1, norm),)) == INDETERMINATE, (p, norm)
+    # the controls are not vacuous: the true level-1 norm 7 passes, but not
+    # at a Wieferich flag or with a level missing
+    assert _verdict(3, 1, False, (LevelRecord(1, 7),)) == MAXIMAL
+    assert _verdict(3, 1, True, (LevelRecord(1, 7),)) == INDETERMINATE
+    assert _verdict(3, 2, False, (LevelRecord(1, 7),)) == INDETERMINATE
+
+
+@pytest.mark.parametrize("p,n", [(11, 3), (5, 6), (89, 1)])
+def test_points_past_the_factoring_search_are_maximal(p, n):
+    # a factoring search for witnesses left (11, 3) and (89, 1) INDETERMINATE
+    # (after 30 s at (11, 3)), and took about two minutes at (5, 6)
+    started = time.perf_counter()
+    cert = build_certificate(p, n)
+    assert cert.verdict == MAXIMAL
+    assert certificate_problems(cert) == []
+    assert time.perf_counter() - started < 5
+
+
 def test_level_witness_p3_first_levels():
     levels = build_certificate(3, 3).levels
-    rec = levels[0]
-    assert rec.norm_abs == 7
-    assert rec.witness == (7, 1)
-    assert levels[1].witness == (43, 1)
-    rec3 = levels[2]
-    assert rec3.witness == (11, 2)  # exponent 2 is the point: 2 != 0 mod 3
-    assert rec3.norm_abs == 58201  # 11^2 * 13 * 37
+    assert [rec.norm_abs for rec in levels] == [7, 43, 58201]
+    assert 58201 == 11**2 * 13 * 37  # the exponent 2 of 11 is not divisible by 3
+    assert all(_level_holds(3, rec.norm_abs) for rec in levels)
 
 
 def test_level_witness_deep_levels():
     levels = build_certificate(3, 5).levels
-    rec4 = levels[3]
-    assert rec4.witness == (1429, 1)
-    assert rec4.norm_abs == 200417348396653
+    assert levels[3].norm_abs == 200417348396653
     rec5 = levels[4]
     # the norm's other prime factor is past DETERMINISTIC_LIMIT, so only a
-    # probable prime (see test_factoring.py); the witness search must not
-    # depend on certifying it
-    assert rec5.witness == (139, 1)
+    # probable prime; the level test never needs it
     assert rec5.norm_abs == P3_LEVEL5_NORM
-
-
-def test_trial_division_settles_p3_to_level_7_without_rho(monkeypatch):
-    # every witness to level 7 is below the trial bound, so the search
-    # stops before rho would start on the cofactors
-    def no_rho(n, rng, budget):
-        raise AssertionError(f"rho on a {n.bit_length()}-bit cofactor")
-
-    monkeypatch.setattr("wreathcert.factoring._brent_rho", no_rho)
-    cert = build_certificate(3, 7)
-    assert [rec.witness for rec in cert.levels] == P3_WITNESSES + [(5, 4), (12757, 1)]
-    assert cert.verdict == MAXIMAL
-
-
-def test_witness_search_stops_at_the_first_rho_witness(monkeypatch):
-    # level 3 at p = 7 needs rho; its first split yields the witness, and the
-    # 26-digit probable prime that is left is never split off
-    calls = []
-    rho = factoring._brent_rho
-    monkeypatch.setattr(factoring, "_brent_rho", lambda *args: calls.append(args[0]) or rho(*args))
-    cert = build_certificate(7, 3)
-    assert cert.levels[2].witness == (6736940533, 1)
-    assert len(calls) == 1
-
-
-def test_trial_division_reads_no_prime_past_its_witness(monkeypatch):
-    # each level's search pulls trial primes off the sieve only up to its
-    # witness; a level that needs rho reads the sieve to its end
-    reads = []
-    sieve = factoring.primes_up_to
-
-    def recorded(limit):
-        reads.append([])
-        for q in sieve(limit):
-            reads[-1].append(q)
-            yield q
-
-    def largest_reads(p, n):
-        reads.clear()
-        witnesses = [rec.witness[0] for rec in build_certificate(p, n).levels]
-        assert len(reads) == n
-        return [max(read, default=0) for read in reads], witnesses
-
-    monkeypatch.setattr(factoring, "primes_up_to", recorded)
-    largest, witnesses = largest_reads(3, 6)
-    assert witnesses == [7, 43, 11, 1429, 139, 5]
-    assert all(read <= q for read, q in zip(largest, witnesses)), largest
-    largest, witnesses = largest_reads(7, 3)
-    assert witnesses[2] > FactorConfig().trial_bound  # level 3 is a rho level
-    assert all(read <= q for read, q in zip(largest[:2], witnesses)), largest
-    assert reads[2] == list(sieve(FactorConfig().trial_bound))
-
-
-@pytest.mark.parametrize("p,n", [(3, 6), (5, 3), (7, 2), (11, 2), (13, 2)])
-def test_witness_is_the_smallest_of_the_full_factorization(p, n):
-    # oracle: the smallest prime of the whole factorization whose exact
-    # exponent p does not divide, which build_certificate no longer forms
-    for rec in build_certificate(p, n).levels:
-        full = oracles.factor(rec.norm_abs)
-        assert rec.witness == next((q, e) for q, e in full.factors if e % p), (p, rec.m)
+    q = P3_LEVEL5_NORM // 139
+    assert P3_LEVEL5_NORM == 139 * q and q >= DETERMINISTIC_LIMIT and is_prime(q)
+    assert _level_holds(3, levels[3].norm_abs) and _level_holds(3, rec5.norm_abs)
 
 
 def test_build_certificate_p3():
     cert = build_certificate(3, 3)
     assert cert.verdict == MAXIMAL
     assert not cert.wieferich
-    assert [rec.witness for rec in cert.levels] == P3_WITNESSES[:3]
+    assert [rec.norm_abs for rec in cert.levels] == [7, 43, 58201]
     assert cert.group_order_claimed == group_order(3, 3)
     assert certificate_problems(cert) == []
 
@@ -277,7 +291,7 @@ def test_build_certificate_p3():
 def test_build_certificate_p5():
     cert = build_certificate(5, 1)
     assert cert.verdict == MAXIMAL
-    assert cert.levels[0].witness == (31, 1)  # 2^5 - 1 is prime
+    assert cert.levels[0].norm_abs == 31  # 2^5 - 1
     assert certificate_problems(cert) == []
 
 
@@ -291,9 +305,8 @@ def test_build_certificate_wieferich():
 
 
 def test_monotone_consistency():
-    cfg = FactorConfig()
-    small = build_certificate(3, 2, cfg)
-    big = build_certificate(3, 4, cfg)
+    small = build_certificate(3, 2)
+    big = build_certificate(3, 4)
     assert big.levels[:2] == small.levels
 
 
@@ -315,20 +328,16 @@ def tamper_level(cert, index, **changes):
     return dataclasses.replace(cert, levels=tuple(levels))
 
 
-def test_verify_rejects_tampered_witness_exponent():
-    cert = build_certificate(3, 3)
-    bad = tamper_level(cert, 2, witness=(11, 3))  # tampered 2 -> 3
-    assert certificate_problems(bad)
-
-
 def test_verify_rejects_pth_power_exponent_rule():
-    # a witness exponent divisible by p certifies nothing even when the
-    # division is exact: synthetic record with 7^3 exactly dividing
+    # a p-th-power norm certifies nothing: 7^3 fails the level test, so the
+    # claimed MAXIMAL is not the verdict the levels give
     cert = build_certificate(3, 1)
-    bad = tamper_level(cert, 0, norm_abs=343, witness=(7, 3))
-    problems = certificate_problems(bad)
-    assert any("divisible by p" in msg for msg in problems)
-    assert any("not the norm of phi^1(1)" in msg for msg in problems)
+    bad = tamper_level(cert, 0, norm_abs=343)
+    assert certificate_problems(bad) == [
+        "level 1: norm residue 1 differs from 2^p - 1 = 7 mod p^2",
+        "level 1: norm_abs is not the norm of phi^1(1)",
+        "the levels and wieferich flag give verdict INDETERMINATE, not the one claimed",
+    ]
 
 
 def test_verify_rejects_wrong_group_order():
@@ -341,25 +350,9 @@ def test_verify_rejects_wrong_group_order():
         assert mismatch in certificate_problems(dataclasses.replace(cert, **changes))
 
 
-def test_verify_rejects_composite_witness():
-    cert = build_certificate(3, 3)
-    # 143 = 11 * 13 divides 58201 exactly once, so only primality testing
-    # can reject it as a witness
-    bad = tamper_level(cert, 2, witness=(143, 1))
-    problems = certificate_problems(bad)
-    assert any("not prime" in msg for msg in problems)
-
-
-def test_verify_rejects_inexact_exponent():
-    cert = build_certificate(3, 3)
-    bad = tamper_level(cert, 2, witness=(11, 1))  # 11^2 divides the norm
-    problems = certificate_problems(bad)
-    assert any("exactly divide" in msg for msg in problems)
-
-
 def test_verify_rejects_wrong_residue():
     cert = build_certificate(3, 2)
-    bad = tamper_level(cert, 0, norm_abs=8 * 7)  # 56 = 2 mod 9; 7 still divides exactly
+    bad = tamper_level(cert, 0, norm_abs=8 * 7)  # 56 = 2 mod 9, which passes the level test
     problems = certificate_problems(bad)
     assert any("norm residue 2 differs from 2^p - 1 = 7" in msg for msg in problems)
     assert any("not the norm of phi^1(1)" in msg for msg in problems)
@@ -380,13 +373,19 @@ def test_verify_rejects_missing_level():
 
 def test_verify_rejects_inconsistent_verdict():
     # the verdict must be the one the levels and the flag give: MAXIMAL
-    # exactly when p is not Wieferich and all n levels hold a witness, else
-    # INDETERMINATE; any other string is inconsistent with every certificate
+    # exactly when p is not Wieferich and all n levels pass the level test,
+    # else INDETERMINATE; any other string is inconsistent with every
+    # certificate.  A cube norm fails the level test, and at p = 3 it is
+    # never 7 mod 9, so it is also a false norm.
     cert = build_certificate(3, 2)
-    unwitnessed = tamper_level(cert, 1, witness=None)
+    unheld = tamper_level(cert, 1, norm_abs=43**3)
+    false_norm = [
+        "level 2: norm residue 1 differs from 2^p - 1 = 7 mod p^2",
+        "level 2: norm_abs is not the norm of phi^2(1)",
+    ]
     gives = "the levels and wieferich flag give verdict {}, not the one claimed".format
     cases = [
-        (unwitnessed, [gives(INDETERMINATE)]),
+        (unheld, false_norm + [gives(INDETERMINATE)]),
         (dataclasses.replace(cert, levels=cert.levels[:1]), ["expected 2 levels, found 1", gives(INDETERMINATE)]),
         (
             dataclasses.replace(cert, wieferich=True),
@@ -399,23 +398,11 @@ def test_verify_rejects_inconsistent_verdict():
         (dataclasses.replace(cert, verdict=INDETERMINATE), [gives(MAXIMAL)]),
         (dataclasses.replace(cert, verdict="FOO"), [gives(MAXIMAL)]),
         (dataclasses.replace(cert, verdict="X" * 10**6), [gives(MAXIMAL)]),
-        (dataclasses.replace(unwitnessed, verdict="FOO"), [gives(INDETERMINATE)]),
-        (dataclasses.replace(unwitnessed, verdict=INDETERMINATE), []),
+        (dataclasses.replace(unheld, verdict="FOO"), false_norm + [gives(INDETERMINATE)]),
+        (dataclasses.replace(unheld, verdict=INDETERMINATE), false_norm),
     ]
     for bad, want in cases:
         assert certificate_problems(bad) == want
-
-
-def test_verify_rejects_uncertain_witness():
-    # the 136-bit cofactor of the level-5 norm passes Miller-Rabin and
-    # divides the norm exactly once, but past DETERMINISTIC_LIMIT that does
-    # not prove it prime
-    cert = build_certificate(3, 5)
-    q = P3_LEVEL5_NORM // 139
-    assert q >= DETERMINISTIC_LIMIT and is_prime(q)
-    bad = tamper_level(cert, 4, witness=(q, 1))
-    problems = certificate_problems(bad)
-    assert problems == ["level 5: a 136-bit witness is past the deterministic primality range"]
 
 
 # -- forgeries: every number must be tied to phi ---------------------------
@@ -428,7 +415,10 @@ def _problems_after(edit, p=3, n=2):
 
 
 def _forge(level, norm, witness, factors):
-    """Rewrite a level of a p = 3 certificate, retired fields included, so it is self-consistent."""
+    """Rewrite a level of a p = 3 certificate, retired fields included, so it is self-consistent.
+
+    The retired fields, the witness (q, e) among them, are read by nothing.
+    """
     level.update(
         norm_abs=str(norm),
         norm_mod_p2=str(norm % 9),
@@ -447,7 +437,7 @@ def test_verify_rejects_self_consistent_prime_norm():
 
 
 def test_verify_rejects_inflated_norm_with_true_witness():
-    # 70 = 2 * 5 * 7 is 7 mod 9 and 7 still divides it exactly once
+    # 70 = 2 * 5 * 7 is 7 mod 9, passes the level test, and 7 still divides it exactly once
     problems = _problems_after(lambda data: _forge(data["levels"][0], 70, (7, 1), [(2, 1), (5, 1), (7, 1)]))
     assert problems == ["level 1: norm_abs is not the norm of phi^1(1)"]
 
@@ -516,9 +506,9 @@ def test_verify_rejects_levels_past_the_ring_bound():
     assert any("levels cannot be recomputed" in msg and "101" in msg for msg in problems)
 
 
-# A (3, 2) certificate as written before the level record shrank to m,
-# norm_abs and witness and the note left the certificate; the retired keys
-# are ignored.
+# A (3, 2) certificate as written before the level record shrank to m and
+# norm_abs and the note left the certificate; the retired keys, the
+# witness among them, are ignored.
 PARENT_P3_N2 = (
     '{"group_order_claimed": "81", "levels": ['
     '{"factorization": {"cofactor": "1", "cofactor_status": "UNIT", "factors": [["7", "1"]]}, '
@@ -561,7 +551,7 @@ def test_json_schema_fields():
     assert data["schema"] == SCHEMA
     assert data["group_order_claimed"] == str(group_order(3, 2))
     level = data["levels"][0]
-    assert level == {"m": 1, "norm_abs": "7", "witness": ["7", "1"]}
+    assert level == {"m": 1, "norm_abs": "7"}
     assert "note" not in data
 
 
@@ -573,27 +563,15 @@ GOLDEN_P3_N3 = """\
   "levels": [
     {
       "m": 1,
-      "norm_abs": "7",
-      "witness": [
-        "7",
-        "1"
-      ]
+      "norm_abs": "7"
     },
     {
       "m": 2,
-      "norm_abs": "43",
-      "witness": [
-        "43",
-        "1"
-      ]
+      "norm_abs": "43"
     },
     {
       "m": 3,
-      "norm_abs": "58201",
-      "witness": [
-        "11",
-        "2"
-      ]
+      "norm_abs": "58201"
     }
   ],
   "n": 3,
@@ -653,11 +631,7 @@ LEVEL_EDITS = [_delete(key) for key in ("m", "norm_abs")] + [
     _set("m", "1"),
     _set("norm_abs", 7),
     _set("norm_abs", "seven"),
-    _set("witness", [7, 1]),  # bare ints are not schema-legal
-    _set("witness", ["7"]),
-    _set("witness", ["7", "1", "1"]),
-    _set("witness", "7^1"),
-] + [edit for text in NON_CANONICAL_DECIMALS for edit in (_set("norm_abs", text), _set("witness", [text, "1"]))]
+] + [_set("norm_abs", text) for text in NON_CANONICAL_DECIMALS]
 
 
 def test_parse_rejects_bad_documents():
@@ -707,6 +681,6 @@ def test_parse_reads_decimals_up_to_the_int_str_limit(set_int_str_limit):
 def test_parse_accepts_tampered_but_wellformed():
     # structurally fine, mathematically wrong: parse succeeds, verify fails
     data = certificate_to_dict(build_certificate(3, 3))
-    data["levels"][2]["witness"] = ["11", "3"]
+    data["levels"][2]["norm_abs"] = str(58201 + 9)
     cert = certificate_from_json(json.dumps(data))
-    assert certificate_problems(cert)
+    assert certificate_problems(cert) == ["level 3: norm_abs is not the norm of phi^3(1)"]

@@ -22,7 +22,7 @@ from wreathcert.cli import (
 )
 from wreathcert.certificate import WIEFERICH_NOTE, build_certificate, certificate_to_json
 from wreathcert.congruence import MAX_LEVELS
-from wreathcert.factoring import MAX_SIEVE_LIMIT, FactorConfig
+from wreathcert.factoring import MAX_SIEVE_LIMIT
 
 
 def run_cli(argv, capsys):
@@ -186,6 +186,18 @@ def test_certificate_wieferich_exit(tmp_path, capsys):
     assert err == f"note: {WIEFERICH_NOTE}\n"
 
 
+def test_certificate_seed_is_ignored(tmp_path, capsys):
+    # --seed still parses, for scripts that pass it, and changes no byte
+    paths = [tmp_path / "seed1.json", tmp_path / "seed2.json"]
+    for seed, path in zip(("1", "2"), paths):
+        code, _, err = run_cli(["certificate", "--p", "5", "--max-n", "4", "--seed", seed, "--out", str(path)], capsys)
+        assert code == EXIT_OK and err == ""
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert run_cli(["certificate", "--p", "5", "--max-n", "1", "--seed", "x", "--out", str(paths[0])], capsys)[0] == EXIT_USAGE
+    code, out, _ = run_cli(["certificate", "--help"], capsys)
+    assert code == EXIT_OK and "ignored" in out
+
+
 def test_certificate_rejects_oversized_non_wieferich_p(tmp_path, capsys):
     # 103 is an odd prime but past the ring bound, and not Wieferich,
     # so levels would need degree-102 arithmetic
@@ -209,16 +221,16 @@ def test_verify_detects_tampering(tmp_path, capsys):
     out_path = tmp_path / "cert.json"
     run_cli(["certificate", "--p", "3", "--max-n", "3", "--out", str(out_path)], capsys)
     document = json.loads(out_path.read_text())
-    document["levels"][2]["witness"] = ["11", "3"]
+    document["levels"][2]["norm_abs"] = str(11**3 * 13 * 37)
     out_path.write_text(json.dumps(document))
     code, _, err = run_cli(["verify", "--in", str(out_path)], capsys)
     assert code == EXIT_FAIL
-    assert "verification failed" in err and "11^3" in err
+    assert "verification failed" in err and "level 3" in err
 
 
 def _field_edits(doc):
     """(path, value) pairs: one false value for each field the writer emits,
-    and for each level's m, norm_abs, witness, witness q and witness e."""
+    and for each level's m and norm_abs."""
     p, n = doc["p"], doc["n"]
     edits = [
         (("schema",), "wreath-cert/2"),
@@ -228,16 +240,12 @@ def _field_edits(doc):
         (("wieferich",), not doc["wieferich"]),
         (("group_order_claimed",), str(int(doc["group_order_claimed"]) * p)),
         (("verdict",), "INDETERMINATE" if doc["verdict"] == "MAXIMAL" else "MAXIMAL"),
-        (("levels",), doc["levels"][:-1] or [{"m": 1, "norm_abs": str(expected_residue(p)), "witness": None}]),
+        (("levels",), doc["levels"][:-1] or [{"m": 1, "norm_abs": str(expected_residue(p))}]),
     ]
     for i, level in enumerate(doc["levels"]):
-        q, e = map(int, level["witness"])
         edits += [
             (("levels", i, "m"), level["m"] + 1),
             (("levels", i, "norm_abs"), str(int(level["norm_abs"]) + p * p)),  # the same residue mod p^2
-            (("levels", i, "witness"), None),
-            (("levels", i, "witness", 0), str(q + 1)),
-            (("levels", i, "witness", 1), str(e + 1)),
         ]
     return edits
 
@@ -270,14 +278,15 @@ def test_verify_rejects_an_edit_of_any_field(tmp_path, capsys, p, n):
 
 @pytest.mark.parametrize("p,n", [(3, 5), (1093, 1)])
 def test_verify_ignores_retired_keys(tmp_path, capsys, p, n):
-    # note, status and factorization are read by nothing, whatever they say
+    # note, status, factorization and witness are read by nothing, whatever they say
     text = certificate_to_json(build_certificate(p, n))
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(text)
     want = run_cli(["verify", "--in", str(cert_path)], capsys)
     assert want[0] == EXIT_OK
     values = [None, 5, "", "WITNESS_FOUND", "certified for every n, including Wieferich p", {"factors": [["2", "99"]]}, [1]]
-    for key in ("note", "status", "factorization"):
+    values += [["7", "1"], ["11", "2"], ["2", "99"], ["7"], [7, 1], ["-0", " 7"], "7^1"]  # old [q, e] pairs and garbage
+    for key in ("note", "status", "factorization", "witness"):
         for value in values:
             doc = json.loads(text)
             for record in [doc, *doc["levels"]]:
@@ -307,10 +316,6 @@ def test_verify_unreadable_document_is_malformed(tmp_path, capsys, content):
     assert err.startswith("malformed certificate: not valid JSON")
 
 
-def _set_witness_exponent(doc):
-    doc["levels"][0]["witness"][1] = str(10**12)
-
-
 def _repeat_level_two(doc):
     doc.update(n=30, levels=[doc["levels"][1]] * 30)
 
@@ -319,7 +324,6 @@ def _repeat_level_two(doc):
 # a power or an orbit walk sized by numbers taken from the file
 HOSTILE_EDITS = {
     "n": lambda doc: doc.update(n=40),
-    "witness exponent": _set_witness_exponent,
     "norm digits": lambda doc: doc["levels"][0].update(norm_abs="7" * 4000),
     "level copies": _repeat_level_two,
     "ring prime": lambda doc: doc.update(p=103),
@@ -345,7 +349,7 @@ def test_verify_rejects_false_level_past_honest_ones_quickly(tmp_path, capsys):
     # two honest levels must not buy that much work for a false third (the
     # group order 61^3783 is past the int-str limit, so it is left wrong)
     norms = [x.norm() for x in orbit_points(61, CycInt.one(61), 2)] + [expected_residue(61) + 61**2]
-    levels = [{"m": m, "norm_abs": str(v), "witness": None} for m, v in enumerate(norms, 1)]
+    levels = [{"m": m, "norm_abs": str(v)} for m, v in enumerate(norms, 1)]
     document = {
         "schema": "wreath-cert/1",
         "p": 61,
@@ -469,7 +473,7 @@ def test_certificate_usage_error_outranks_the_size_cap(tmp_path, capsys, set_int
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
 def test_certificate_norm_past_int_str_limit_exits_cap_before_factoring(tmp_path, capsys, set_int_str_limit):
     # the group order 17^307 has 378 digits and passes; the level-3 norm has
-    # 684 and is refused before its witness search
+    # 684 and is refused
     out_path = tmp_path / "c.json"
     set_int_str_limit(640)
     started = time.perf_counter()
@@ -481,13 +485,13 @@ def test_certificate_norm_past_int_str_limit_exits_cap_before_factoring(tmp_path
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
-def test_certificate_forms_every_norm_before_any_witness_search(monkeypatch, tmp_path, capsys, set_int_str_limit):
-    # the level-3 norm at (37, 3) is past 4300 digits; levels 1 and 2 are
-    # not searched for a witness first, where rho on level 2 takes seconds
-    def no_search(n, cfg, leftover):
-        raise AssertionError(f"witness search on a {n.bit_length()}-bit norm")
+def test_certificate_forms_every_norm_before_any_level_test(monkeypatch, tmp_path, capsys, set_int_str_limit):
+    # the level-3 norm at (37, 3) is past 4300 digits; no level is decided
+    # before every norm is formed
+    def no_test(p, norm):
+        raise AssertionError(f"level test on a {norm.bit_length()}-bit norm")
 
-    monkeypatch.setattr("wreathcert.certificate.certified_primes", no_search)
+    monkeypatch.setattr("wreathcert.certificate._level_holds", no_test)
     out_path = tmp_path / "c.json"
     set_int_str_limit(4300)
     started = time.perf_counter()
@@ -654,7 +658,7 @@ def test_main_reuses_one_parser_without_leaking_state(monkeypatch, tmp_path, cap
     seeded, unseeded = tmp_path / "seeded.json", tmp_path / "unseeded.json"
     assert run_cli(cert + [str(seeded), "--seed", "5"], capsys)[0] == EXIT_OK
     assert run_cli(cert + [str(unseeded)], capsys)[0] == EXIT_OK
-    assert unseeded.read_text() == certificate_to_json(build_certificate(3, 3, FactorConfig()))
+    assert unseeded.read_text() == seeded.read_text() == certificate_to_json(build_certificate(3, 3))
 
     for argv, message in [
         (["frobnicate"], "invalid choice: 'frobnicate'"),
