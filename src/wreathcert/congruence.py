@@ -9,10 +9,13 @@ Z[zeta]/(p^2): reduction mod p^2 is a ring map that commutes with the
 Galois action, so it carries the product of the conjugates of x to that
 of the reduced conjugates, and the full integer norm is never formed.
 Both take the step phi in Z[zeta]/(p^2) too: phi has coefficients in
-Z[zeta], so reduction commutes with phi as well.  The orbit check walks
-the reduced orbit of 1, which is the orbit of 1 reduced, and builds no
-exact orbit point; the lift check builds each random lift x exactly and
-only phi(x) reduced.
+Z[zeta], so reduction commutes with phi as well.  Both run in the one
+ring for (p, p^2) (cyclotomic.ring), whose pow and norm keep operands
+packed along the chain.  The orbit check walks the reduced orbit of 1,
+which is the orbit of 1 reduced, and builds no exact orbit point.  The
+lift check works on coefficient lists: it reduces x - 1 = (1 - zeta) r
+mod p^2 before phi, takes the step phi (dynamics.phi_shifted) and the
+norm in that ring, and builds no ring element.
 
 Two lemmas say why the residue is 2^p - 1 at every level; pi = 1 - zeta:
 
@@ -40,12 +43,12 @@ import random
 from dataclasses import dataclass
 from itertools import islice
 
-from .cyclotomic import CycInt, one_minus_zeta, require_odd_prime, require_ring_prime
-from .dynamics import phi_at
+from .cyclotomic import CycInt, require_odd_prime, require_ring_prime, ring
+from .dynamics import phi_at, phi_shifted
 from .factoring import MAX_SIEVE_LIMIT, primes_up_to
 
 # norm_congruence_check takes time and memory linear in n_max; the cap
-# bounds a run at p = 101 to about 2 s on a 2-vCPU x86-64 host
+# bounds a run at p = 101 to about 1.3 s on a 2-vCPU x86-64 host
 MAX_LEVELS = 1000
 
 
@@ -110,7 +113,8 @@ def general_congruence_check(
     """Check norm(phi(x)) mod p^2 for random x congruent to 1 mod (1 - zeta).
 
     Samples x = 1 + (1 - zeta) * r with the coordinates of r uniform in
-    [-coeff_bound, coeff_bound], reproducibly from the seed.
+    [-coeff_bound, coeff_bound], reproducibly from the seed.  Only x - 1,
+    reduced mod p^2, is formed.
     """
     require_ring_prime(p)
     if trials < 1:
@@ -118,13 +122,16 @@ def general_congruence_check(
     if coeff_bound < 1:
         raise ValueError("need coeff_bound >= 1")
     p2 = p * p
-    pi = one_minus_zeta(p)
-    one = CycInt.one(p)
+    ring_p2 = ring(p, p2)
     rng = random.Random(seed)
     residues = []
     for _ in range(trials):
-        r = CycInt(p, [rng.randint(-coeff_bound, coeff_bound) for _ in range(p - 1)])
-        residues.append(phi_at(one + pi * r, p2).norm(p2))
+        r = [rng.randint(-coeff_bound, coeff_bound) for _ in range(p - 1)]
+        # x - 1 = (1 - zeta) r has r_j - r_(j-1) at zeta^j and -r_(p-2) at
+        # zeta^(p-1), which folds into the others as + r_(p-2)
+        top = r[-1]
+        d = [(a - b + top) % p2 for a, b in zip(r, [0, *r])]
+        residues.append(ring_p2.norm(phi_shifted(ring_p2, d)))
     return _report(p, "randomized-lift", residues, seed, coeff_bound)
 
 

@@ -9,19 +9,24 @@ The absolute norm is the product of all Galois conjugates, taken
 along the cyclic group Gal(Q(zeta_p)/Q).  With sigma: zeta -> zeta^g for
 a primitive root g mod p, the partial products y_k = prod_{i<k}
 sigma^i(x) satisfy y_(a+b) = y_a * sigma^a(y_b), so walking the bits of
-p - 1 reaches N(x) = y_(p-1) in O(log p) ring multiplies.  The
-multi-modular resultant in tests/resultant_oracle.py is the independent
-algorithm the tests compare against.  Given a modulus m, the same chain
-runs in (Z/m)[zeta] and returns N(x) mod m.
+p - 1 reaches N(x) = y_(p-1) in O(log p) ring multiplies.  The steps of
+that walk, each with the index table of its conjugation zeta -> zeta^k,
+form a plan built once per p (_norm_plan).  The multi-modular resultant
+in tests/resultant_oracle.py is the independent algorithm the tests
+compare against.  Given a modulus m, the same plan runs in (Z/m)[zeta]
+and returns N(x) mod m.
 
 The exact ring multiply convolves the two coefficient vectors by the
 schoolbook loop, skipping zero coefficients, and then wraps exponents
 through zeta^p = 1; the expanded iterates of tests/oracles.py multiply
-their polynomials through the same two steps.  The multiply mod m, whose
-coefficients stay below m, is one big-integer product instead: Kronecker
-substitution packs each operand into one int with a slot of 1, 2, 4 or 8
-bytes per coefficient (_mul_mod); a modulus too wide for 8-byte slots
-reduces the exact product.
+their polynomials through the same two steps.  Powers and norms run in
+one Ring per (p, m), from a bounded cache (ring): m None is Z[zeta]
+itself, with the exact multiply.  Mod m, whose coefficients stay below
+m, a multiply is one big-integer product instead: the ring fixes its
+layout once, a slot of 1, 2, 4 or 8 bytes per coefficient (Kronecker
+substitution), and its pow and norm keep operands packed along the
+chain, packing each operand once and each product once.  A modulus too
+wide for 8-byte slots reduces the exact product.
 
 All values are immutable; every operation returns a new element.
 """
@@ -189,29 +194,17 @@ class CycInt:
             return NotImplemented
         if e < 0:
             raise ValueError("ring elements have no negative powers")
-        p, x = self.p, _reduce(self.coeffs, _require_modulus(modulus))
-        if e == 0:
-            return CycInt._of(p, _reduce((1,) + (0,) * (p - 2), modulus))
-        acc = x
-        for bit in bin(e)[3:]:
-            acc = _mul_mod(acc, acc, p, modulus)
-            if bit == "1":
-                acc = _mul_mod(acc, x, p, modulus)
-        return CycInt._of(p, acc)
+        r = ring(self.p, modulus)
+        return CycInt._of(self.p, tuple(r.pow(r.reduce(self.coeffs), e)))
 
     # -- norm ----------------------------------------------------------
 
     def norm(self, modulus: int | None = None) -> int:
         """Absolute norm: the product of all p - 1 Galois conjugates.
 
-        sigma^i maps zeta to zeta^(g^i) for a primitive root g mod p.  The
-        partial products y_k = prod_{i<k} sigma^i(x) obey y_(a+b) = y_a *
-        sigma^a(y_b); doubling (y_2k = y_k * sigma^k(y_k)) and stepping
-        (y_(k+1) = y_k * sigma^k(x)) along the bits of p - 1 reach
-        N(x) = y_(p-1) in O(log p) multiplies.  The product must reduce
-        to a rational integer; anything else indicates an arithmetic bug.
-        The tests check it against the independent resultant in
-        tests/resultant_oracle.py.
+        The product walks the addition chain of _norm_plan in O(log p)
+        multiplies.  The tests check it against the independent resultant
+        in tests/resultant_oracle.py.
 
         With a modulus m >= 1 the result is N(x) mod m, in [0, m), and the
         same chain runs in (Z/m)[zeta]: x and every product are reduced
@@ -220,18 +213,8 @@ class CycInt:
         so it carries the orbit product to N(x) mod m; the coefficients
         stay below m instead of growing to the size of the norm.
         """
-        p, x = self.p, _reduce(self.coeffs, _require_modulus(modulus))
-        g = _primitive_root(p)
-        y, k = x, 1
-        for bit in bin(p - 1)[3:]:
-            y = _mul_mod(y, _conj(y, pow(g, k, p), p), p, modulus)
-            k *= 2
-            if bit == "1":
-                y = _mul_mod(y, _conj(x, pow(g, k, p), p), p, modulus)
-                k += 1
-        if any(y[1:]):
-            raise AssertionError(f"Galois orbit product is not rational: {CycInt(p, y)!r}")
-        return y[0]
+        r = ring(self.p, modulus)
+        return r.norm(r.reduce(self.coeffs))
 
     # -- the prime above p ---------------------------------------------
 
@@ -256,7 +239,7 @@ def one_minus_zeta(p: int) -> CycInt:
     return CycInt(p, (1, -1))
 
 
-# -- kernels on reduced coefficient tuples ----------------------------
+# -- exact kernels on reduced coefficient tuples ----------------------
 
 
 def _fold(raw, p: int) -> tuple:
@@ -280,71 +263,169 @@ def _wrap(prod: list, p: int) -> tuple:
     return _fold(prod, p)
 
 
-def _mul_mod(a, b, p: int, m: int | None) -> tuple:
-    """Product of two coefficient tuples, reduced mod m into [0, m); exact when m is None.
+# -- one ring per (p, m) ----------------------------------------------
 
-    Each operand, reduced into [0, m), is packed into one int of
-    _kronecker_layout's w-byte slots, one per coefficient, so the slots of
-    the one big-integer product hold the product polynomial's coefficients.
-    One mask and one shift wrap zeta^p = 1; the p slots are unpacked, the
-    zeta^(p-1) slot is folded into the others, and each is reduced mod m.
-    A modulus too wide for the slots reduces the exact product instead.
-    The operands may have any sign and size.
+
+@lru_cache(maxsize=256, typed=True)
+def ring(p: int, m: int | None) -> Ring:
+    """The Ring for (p, m); m is checked, p is not.
+
+    The cache is bounded, because verify's fingerprint moduli are random
+    primes, and typed, so that True or 9.0 reaches the check rather than
+    the ring of 1 or 9.
     """
-    if m is None:
-        return _mul(a, b, p)
-    layout = _kronecker_layout(p, m)
-    if layout is None:
-        return _reduce(_mul(_reduce(a, m), _reduce(b, m), p), m)
-    w, slots, shift, mask = layout
-    packed = _pack(a, m, slots)
-    prod = packed * (packed if a is b else _pack(b, m, slots))
-    prod = (prod & mask) + (prod >> shift)
-    top = prod >> shift - 8 * w  # the zeta^(p-1) slot
-    coeffs = slots.unpack_from(prod.to_bytes(w * p, "little"))
-    return tuple([(c - top) % m for c in coeffs])
+    return Ring(p, m)
 
 
-@lru_cache(maxsize=256)
-def _kronecker_layout(p: int, m: int) -> tuple | None:
-    """Slot width w in bytes for _mul_mod in (Z/m)[zeta_p], and what packs the slots.
+class Ring:
+    """Z[zeta_p] when m is None, else (Z/m)[zeta_p]: its multiply, pow and norm.
+
+    Elements are sequences of the p - 1 stored coefficients, each in
+    [0, m) when m is given.  mul(pack(a), pack(b)) is the product's
+    coefficients, reduced.  When _slot_width finds slots for m, pack
+    makes one int of width-byte slots and mul is one big-integer product
+    (_kronecker); otherwise the operand is the coefficients themselves and
+    mul is the exact product, reduced mod m afterwards when m is given.
+    """
+
+    __slots__ = ("p", "m", "width", "pack", "mul", "plan")
+
+    def __init__(self, p: int, m: int | None):
+        if m is not None:
+            if not isinstance(m, int) or isinstance(m, bool):
+                raise TypeError(f"modulus must be an int, got {type(m).__name__}")
+            if m < 1:
+                raise ValueError(f"modulus must be positive, got {m}")
+        self.p, self.m, self.plan = p, m, _norm_plan(p)
+        self.width = None if m is None else _slot_width(p, m)
+        if self.width is not None:
+            self.pack, self.mul = _kronecker(p, m, self.width)
+        else:
+            self.pack = lambda a: a
+            if m is None:
+                self.mul = lambda a, b: _mul(a, b, p)
+            else:
+                self.mul = lambda a, b: [c % m for c in _mul(a, b, p)]
+
+    def reduce(self, a):
+        """The coefficients of a mod m, in [0, m); a itself when m is None."""
+        m = self.m
+        return a if m is None else [c % m for c in a]
+
+    def pow(self, a, e: int):
+        """a^e for reduced coefficients a and an int e >= 0, by square-and-multiply.
+
+        a is packed once and each product but the last once; no CycInt is
+        formed between the steps.
+        """
+        if e == 0:
+            return self.reduce((1,) + (0,) * (self.p - 2))
+        pack, mul = self.pack, self.mul
+        x, y = pack(a), None
+        for bit in bin(e)[3:]:
+            acc = x if y is None else pack(y)
+            y = mul(acc, acc)
+            if bit == "1":
+                y = mul(pack(y), x)
+        return a if y is None else y
+
+    def norm(self, a) -> int:
+        """N(a), mod m when m is given, for reduced coefficients a, by the steps of _norm_plan.
+
+        The product must reduce to a rational integer; anything else
+        indicates an arithmetic bug.
+        """
+        pack, mul, m = self.pack, self.mul, self.m
+        y = a
+        for from_a, gather, top in self.plan:
+            y = mul(pack(y), pack(_conj(a if from_a else y, gather, top, m)))
+        if any(y[1:]):
+            raise AssertionError(f"Galois orbit product is not rational: {CycInt(self.p, y)!r}")
+        return y[0]
+
+
+def _slot_width(p: int, m: int) -> int | None:
+    """Slot width in bytes for Kronecker products in (Z/m)[zeta_p], or None when 8 bytes are too narrow.
 
     Once zeta^p = 1 has wrapped the product, the slot of zeta^k holds the sum
     of a_i b_j over i + j = k mod p with 0 <= i, j <= p - 2: at most p - 1
     products, each at most (m - 1)^2.  So w bytes with (p - 1)(m - 1)^2 <
     256^w never carry into the next slot, before the wrap or after it.  The
-    smallest such w of 1, 2, 4 or 8 bytes (8 covers every m = p^2 with p <=
-    MAX_RING_PRIME) is packed and unpacked by one struct call.  Returns (w,
-    struct, shift, mask), where shift and mask cut the product at zeta^p, or
-    None when 8 bytes are too narrow.  The cache is bounded, because
-    verify's fingerprint moduli are random primes.
+    smallest such w of 1, 2, 4 or 8 bytes is taken; 8 covers every m = p^2
+    with p <= MAX_RING_PRIME.
     """
     bits = ((p - 1) * (m - 1) ** 2).bit_length()
-    for w, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")):
-        if bits <= 8 * w:
-            shift = 8 * w * p
-            return w, Struct(f"<{p - 1}{code}"), shift, (1 << shift) - 1
-    return None
+    return next((w for w in (1, 2, 4, 8) if bits <= 8 * w), None)
 
 
-def _pack(a, m: int, slots: Struct) -> int:
-    """The coefficients of a, reduced into [0, m), as one int of the slots' width."""
-    return int.from_bytes(slots.pack(*[c % m for c in a]), "little")
+def _kronecker(p: int, m: int, w: int):
+    """pack and mul for (Z/m)[zeta_p] in w-byte slots, one per coefficient.
+
+    pack lays the coefficients into one int by one struct call, so the
+    product of two packed operands holds the product polynomial's
+    coefficients in its slots.  mul wraps zeta^p = 1 with one mask and one
+    shift, unpacks the p - 1 low slots, folds the zeta^(p-1) slot into
+    them and reduces each mod m.
+    """
+    slots = Struct(f"<{p - 1}" + {1: "B", 2: "H", 4: "I", 8: "Q"}[w])
+    pack_slots, unpack, from_bytes = slots.pack, slots.unpack_from, int.from_bytes
+    shift = 8 * w * p
+    mask, top_shift, size = (1 << shift) - 1, shift - 8 * w, w * p
+
+    def pack(a) -> int:
+        return from_bytes(pack_slots(*a), "little")
+
+    def mul(a: int, b: int) -> list:
+        prod = a * b
+        prod = (prod & mask) + (prod >> shift)
+        top = prod >> top_shift  # the zeta^(p-1) slot
+        return [(c - top) % m for c in unpack(prod.to_bytes(size, "little"))]
+
+    return pack, mul
 
 
-def _reduce(a, m: int | None) -> tuple:
-    """Each coefficient mod m, in [0, m); a itself when m is None."""
-    return a if m is None else tuple(c % m for c in a)
+@lru_cache(maxsize=None)
+def _norm_plan(p: int) -> tuple:
+    """The steps of the norm's addition chain in Gal(Q(zeta_p)/Q), built once per p.
+
+    sigma^i maps zeta to zeta^(g^i) for a primitive root g mod p.  The
+    partial products y_k = prod_{i<k} sigma^i(x) obey y_(a+b) = y_a *
+    sigma^a(y_b); doubling (y_2k = y_k * sigma^k(y_k)) and stepping
+    (y_(k+1) = y_k * sigma^k(x)) along the bits of p - 1 reach N(x) =
+    y_(p-1) in O(log p) multiplies.  Each step is (from_x, gather, top):
+    whether it conjugates x rather than y_k, and _conj_table of sigma^k.
+    """
+    g = _primitive_root(p)
+    steps, k = [], 1
+    for bit in bin(p - 1)[3:]:
+        steps.append((False, *_conj_table(p, pow(g, k, p))))
+        k *= 2
+        if bit == "1":
+            steps.append((True, *_conj_table(p, pow(g, k, p))))
+            k += 1
+    return tuple(steps)
 
 
-def _require_modulus(m: int | None) -> int | None:
-    """Validate an optional modulus: None or an int m >= 1; return it."""
-    if m is not None:
-        if not isinstance(m, int) or isinstance(m, bool):
-            raise TypeError(f"modulus must be an int, got {type(m).__name__}")
-        if m < 1:
-            raise ValueError(f"modulus must be positive, got {m}")
-    return m
+def _conj_table(p: int, k: int) -> tuple[tuple, int]:
+    """Where zeta -> zeta^k, k a unit mod p, takes each coefficient from.
+
+    The image's coefficient of zeta^j is the input's of zeta^i with
+    i k = j mod p.  Returns (gather, top): those i for j = 0..p-2, and the
+    i for j = p - 1, which _conj folds into the others.  i = p - 1 names
+    the input's zeta^(p-1) coefficient, which is 0 in reduced form.
+    """
+    k_inv = pow(k, -1, p)
+    source = [j * k_inv % p for j in range(p)]
+    return tuple(source[:-1]), source[-1]
+
+
+def _conj(a, gather: tuple, top: int, m: int | None):
+    """Reduced coefficients a under the conjugation of _conj_table, mod m unless m is None."""
+    raw = (*a, 0)
+    t = raw[top]
+    if m is None:
+        return [raw[i] - t for i in gather]
+    return [(raw[i] - t) % m for i in gather]
 
 
 def _convolve(a, b) -> list:
@@ -360,15 +441,6 @@ def _convolve(a, b) -> list:
                 if bj:
                     prod[i + j] += ai * bj
     return prod
-
-
-def _conj(a, k: int, p: int) -> tuple:
-    """Image of a reduced coefficient tuple under zeta -> zeta^k, k a unit mod p."""
-    raw = [0] * p
-    for i, c in enumerate(a):
-        if c:
-            raw[i * k % p] += c
-    return _fold(raw, p)
 
 
 @lru_cache(maxsize=None)

@@ -2,10 +2,13 @@
 
 phi_at is the one definition of phi: it evaluates the closed form
 phi(x) = (x - 1)^p + (2 - zeta), with the p-th power taken by
-square-and-multiply, O(log p) ring multiplies per step.  Certificates,
-their verification, the norm congruence and the structural checks all
-evaluate it, and none expands an iterate, whose degree is p^n while a
-point's coefficients merely grow p-fold per step.
+square-and-multiply, O(log p) ring multiplies per step.  Its step on
+coefficient lists, phi_shifted, takes x - 1 in a cyclotomic.Ring, so
+the randomized lift check, which draws x - 1, evaluates phi by the same
+code without forming a ring element.  Certificates, their verification,
+the norm congruence and the structural checks all evaluate it, and none
+expands an iterate, whose degree is p^n while a point's coefficients
+merely grow p-fold per step.
 That growth is still doubly exponential in n, so the exact orbit that
 certificates and their verification walk carries a fixed size cap,
 MAX_COEFF_BITS (SizeLimitError); the orbit congruence steps with
@@ -35,19 +38,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
-from .cyclotomic import CycInt, one_minus_zeta, require_ring_prime
+from .cyclotomic import CycInt, Ring, one_minus_zeta, require_ring_prime, ring
 from .errors import RingMismatchError, SizeLimitError
 
 MAX_COEFF_BITS = 1 << 20
-
-
-@lru_cache(maxsize=None)
-def _two_minus_zeta(p: int) -> CycInt:
-    """The constant 2 - zeta of phi, formed once per p."""
-    return CycInt(p, (2, -1))
 
 
 def phi_at(x: CycInt, modulus: int | None = None) -> CycInt:
@@ -57,9 +53,22 @@ def phi_at(x: CycInt, modulus: int | None = None) -> CycInt:
     takes p.  With a modulus m the power runs in (Z/m)[zeta] and the
     result is phi(x) with each coordinate reduced into [0, m).
     """
-    p = x.p
-    y = pow(x - 1, p, modulus) + _two_minus_zeta(p)
-    return y if modulus is None else CycInt._of(p, tuple(c % modulus for c in y.coeffs))
+    r = ring(x.p, modulus)
+    d = list(x.coeffs)
+    d[0] -= 1
+    return CycInt._of(x.p, tuple(phi_shifted(r, r.reduce(d))))
+
+
+def phi_shifted(r: Ring, d) -> list:
+    """phi(x) as coefficients of the ring r, from the coefficients d of x - 1, reduced in r.
+
+    phi_at evaluates phi through this step, and so does the randomized
+    lift check, which draws x - 1 rather than x.
+    """
+    y = list(r.pow(d, r.p))
+    y[0] += 2
+    y[1] -= 1
+    return r.reduce(y)
 
 
 def _coeff_bits(x: CycInt) -> int:

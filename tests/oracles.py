@@ -16,8 +16,8 @@ Each of these answers a question the library answers another way:
 * ring multiply by the schoolbook convolution of the coefficient
   vectors, which the library's exact _mul runs too; the independent
   check of _mul is test_mul_mod_matches_reduced_exact_product, which
-  compares its product, reduced mod m, with _mul_mod's packed
-  big-integer product at all 25 ring primes;
+  compares its product, reduced mod m, with the packed big-integer
+  product of cyclotomic.ring(p, m) at all 25 ring primes;
 * polynomial multiply by the schoolbook sum of CycInt products, where
   CycPoly lays both polynomials out in one integer vector and convolves
   that once with the library's _convolve.

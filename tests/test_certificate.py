@@ -180,7 +180,8 @@ def test_levels_are_pairwise_coprime(p, n):
     for m, x in enumerate(points[:-1], 1):
         norm = x.norm()
         assert norm % p == 1
-        conjugates = (CycInt(p, cyclotomic._conj(x.coeffs, k, p)) for k in range(2, p))
+        tables = (cyclotomic._conj_table(p, k) for k in range(2, p))
+        conjugates = (CycInt(p, cyclotomic._conj(x.coeffs, *table, None)) for table in tables)
         x_star = math.prod(conjugates, start=CycInt.one(p))
         for k, later in enumerate(points[m:], m + 1):
             assert all(c % norm == 0 for c in ((later - pi) * x_star).coeffs), (m, k)

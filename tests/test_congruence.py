@@ -24,6 +24,7 @@ from wreathcert import (
     wieferich_check,
     wieferich_scan,
 )
+from wreathcert import cyclotomic
 from wreathcert.congruence import MAX_LEVELS
 from wreathcert.dynamics import orbit_points, phi_at
 from wreathcert.factoring import MAX_SIEVE_LIMIT, primes_up_to
@@ -99,14 +100,18 @@ def test_general_congruence_hand_cases():
 
 
 def test_general_congruence_residues_match_exact_norms():
-    # the library reduces the norm mod p^2 as it goes; the oracle reduces the
-    # full integer norm of the same points, regenerated from the same seed
-    for p, trials in ((3, 20), (5, 20), (31, 2)):
-        report = general_congruence_check(p, trials, 10**6, seed=7)
+    # the library reduces the norm mod p^2 as it goes; the test reduces the
+    # full integer norm of the same points, regenerated from the same seed.
+    # At m = p^2 the lift's ring packs 1-byte slots at p = 3, 2-byte at 5,
+    # 4-byte at 11 and 31, and 8-byte at 101, where one exact norm of a
+    # point with coordinates of r in [-1, 1] has 27072 bits and takes 2-3 s
+    for p, trials, bound in ((3, 20, 10**6), (5, 20, 10**6), (11, 5, 10**6), (31, 2, 10**6), (101, 1, 1)):
+        assert cyclotomic.ring(p, p * p).width == {3: 1, 5: 2, 11: 4, 31: 4, 101: 8}[p]
+        report = general_congruence_check(p, trials, bound, seed=7)
         rng = random.Random(7)
         exact = []
         for _ in range(trials):
-            r = CycInt(p, [rng.randint(-(10**6), 10**6) for _ in range(p - 1)])
+            r = CycInt(p, [rng.randint(-bound, bound) for _ in range(p - 1)])
             x = CycInt.one(p) + one_minus_zeta(p) * r
             exact.append(phi_at(x).norm() % p**2)
         assert [item.residue for item in report.items] == exact
@@ -150,6 +155,15 @@ def test_lemma_b_norm_is_constant_mod_p2_on_cosets_of_p_pi(p):
         assert b.norm(p2) == a.norm(p2), (p, a, b)
         if p <= 13:
             assert resultant_oracle.norm(b.coeffs, p) % p2 == resultant_oracle.norm(a.coeffs, p) % p2 == a.norm(p2)
+
+
+def test_general_congruence_rejects_irrational_product(monkeypatch):
+    # the lift takes each norm through the ring's conjugation; one that
+    # returns its input makes the orbit product irrational, which must
+    # raise rather than give a residue
+    monkeypatch.setattr(cyclotomic, "_conj", lambda a, gather, top, m: a)
+    with pytest.raises(AssertionError, match="not rational"):
+        general_congruence_check(3, 5, 100, seed=1)
 
 
 def test_general_congruence_validates():

@@ -26,9 +26,14 @@ def rand_elem(rng, p, bound=10**6):
     return CycInt(p, [rng.randint(-bound, bound) for _ in range(p - 1)])
 
 
+def conj_coeffs(a, k, p, m=None):
+    """Coefficients a under zeta -> zeta^k, by the kernel the norm runs, mod m unless m is None."""
+    return tuple(cyclotomic._conj(a, *cyclotomic._conj_table(p, k), m))
+
+
 def conj(a, k):
     """a under zeta -> zeta^k, by the kernel the norm runs."""
-    return CycInt(a.p, cyclotomic._conj(a.coeffs, k, a.p))
+    return CycInt(a.p, conj_coeffs(a.coeffs, k, a.p))
 
 
 # -- construction -------------------------------------------------------
@@ -183,16 +188,16 @@ def test_mul_matches_schoolbook_across_the_cutoff(p):
 
 @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
 def test_mul_mod_matches_reduced_exact_product(p):
-    # the Kronecker kernel against the exact product reduced afterwards:
-    # all-(m - 1) operands fill a slot to its bound (p - 1)(m - 1)^2, and a
-    # conjugate of a reduced tuple has negative entries, so those reach the
-    # kernel too.  Each slot width w of 1, 2, 4 and 8 bytes is met at the
-    # largest m with that bound below 256^w and at the next m up, which needs
-    # the next width; 2^61 - 1 and a modulus that puts the bound just past
-    # 2^72 fit no 8-byte slot, so they reduce the exact product.
+    # the multiply of the ring for (p, m) against the exact product reduced
+    # afterwards: all-(m - 1) operands fill a slot to its bound
+    # (p - 1)(m - 1)^2, and a conjugate of a reduced tuple has negative
+    # entries, so reduce meets those before pack.  Each slot width w of 1,
+    # 2, 4 and 8 bytes is met at the largest m with that bound below 256^w
+    # and at the next m up, which needs the next width; 2^61 - 1 and a
+    # modulus that puts the bound just past 2^72 fit no 8-byte slot, so
+    # they reduce the exact product.
     def width(m):
-        layout = cyclotomic._kronecker_layout(p, m)
-        return layout and layout[0]
+        return cyclotomic.ring(p, m).width
 
     moduli = [1, p * p, 2**61 - 1, math.isqrt(2**72 // (p - 1)) + 2]
     assert width(moduli[2]) is None and width(moduli[3]) is None
@@ -202,16 +207,48 @@ def test_mul_mod_matches_reduced_exact_product(p):
         moduli += [top, top + 1]
     rng = random.Random(p)
     for m in moduli:
+        ring = cyclotomic.ring(p, m)
         reduced = tuple(rng.randrange(m) for _ in range(p - 1))
         cases = [
             ((m - 1,) * (p - 1), (m - 1,) * (p - 1)),
-            (reduced, cyclotomic._conj(reduced, 2, p)),
+            (reduced, conj_coeffs(reduced, 2, p)),
             (tuple(rng.randint(-(m**2), m**2) for _ in range(p - 1)), reduced),
         ]
         for a, b in cases:
             for x, y in ((a, b), (a, a), (b, b)):
-                want = tuple(c % m for c in cyclotomic._mul(x, y, p))
-                assert cyclotomic._mul_mod(x, y, p, m) == want
+                want = [c % m for c in cyclotomic._mul(x, y, p)]
+                assert ring.mul(ring.pack(ring.reduce(x)), ring.pack(ring.reduce(y))) == want
+
+
+def _power(x, e):
+    """x^e by square-and-multiply on exact ring elements."""
+    acc = CycInt.one(x.p)
+    for bit in bin(e)[2:]:
+        acc = acc * acc
+        if bit == "1":
+            acc = acc * x
+    return acc
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_packed_pow_and_norm_match_reduced_exact_results(p):
+    # pow and norm of the ring for (p, m), with the operand packed once and
+    # each product re-packed, against exact powers reduced afterwards and
+    # the resultant norm: N(x^e) = N(x)^e.  p^2 takes the packed multiply,
+    # 2^40 3^5 7 and 2^61 - 1 the reduced exact product, and 1 a width of
+    # one byte whose every coefficient is 0.
+    rng = random.Random(300 + p)
+    x = rand_elem(rng, p, 5)
+    norm = resultant_oracle.norm(x.coeffs, p)
+    powers = {e: _power(x, e) for e in (0, 1, 2, p, 2 * p + 1)}
+    for m in (1, p * p, 2**40 * 3**5 * 7, 2**61 - 1):
+        ring = cyclotomic.ring(p, m)
+        assert (ring.width is not None) == (m in (1, p * p))
+        for e, exact in powers.items():
+            got = pow(x, e, m)
+            assert got == CycInt(p, [c % m for c in exact.coeffs]), (m, e)
+            assert tuple(ring.pow(ring.reduce(x.coeffs), e)) == got.coeffs
+            assert got.norm(m) == pow(norm, e, m), (m, e)
 
 
 def test_int_operands():
@@ -279,7 +316,7 @@ def test_conjugate_matches_oracle_p3():
     rng = random.Random(29)
     for _ in range(100):
         x = (rng.randint(-999, 999), rng.randint(-999, 999))
-        assert cyclotomic._conj(x, 2, 3) == oracle.conj(x)
+        assert conj_coeffs(x, 2, 3) == oracle.conj(x)
 
 
 # -- norms ---------------------------------------------------------------
@@ -328,8 +365,9 @@ def test_norm_mod_matches_norm():
 
 
 def test_norm_rejects_irrational_product(monkeypatch):
-    # with a broken conjugation kernel the orbit product is x^(p-1) = -3 zeta
-    monkeypatch.setattr(cyclotomic, "_conj", lambda a, k, p: a)
+    # with a conjugation that returns its input, the orbit product is
+    # x^(p-1) = -3 zeta
+    monkeypatch.setattr(cyclotomic, "_conj", lambda a, gather, top, m: a)
     with pytest.raises(AssertionError, match="not rational"):
         one_minus_zeta(3).norm()
     # reduced mod 9 it is 6 zeta, still not rational
@@ -339,6 +377,8 @@ def test_norm_rejects_irrational_product(monkeypatch):
 
 @pytest.mark.parametrize("bad", [0, -9, True, 9.0, "9"])
 def test_norm_modulus_rejects_bad_values(bad):
+    # with the rings of 1 and 9 cached, True and 9.0 must not reach them
+    assert one_minus_zeta(5).norm(1) == 0 and one_minus_zeta(5).norm(9) == 5
     with pytest.raises((ValueError, TypeError)):
         one_minus_zeta(5).norm(bad)
     with pytest.raises((ValueError, TypeError)):
